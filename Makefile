@@ -147,12 +147,11 @@ domains-smoke: build
 	@rm -f _dom_*.json _dom_*.txt _dom_*.f
 
 # Executor bench: fork vs domains vs inline over the same sweep grid (the
-# artifacts must agree byte-for-byte modulo timing) plus the parallel-rho
-# k-section micro (must find the same rho as the sequential bisection).
+# artifacts must agree byte-for-byte modulo timing).
 # Writes BENCH_exec.json; exits non-zero on any disagreement.
 bench-exec:
 	dune exec bench/main.exe -- exec --json --jobs 4
-	@grep -q '"schema": "flowsched-bench-exec/1"' BENCH_exec.json \
+	@grep -q '"schema": "flowsched-bench-exec/2"' BENCH_exec.json \
 	  && grep -q '"disagreements": 0' BENCH_exec.json \
 	  && echo "bench-exec: OK (BENCH_exec.json valid, backends agree)" \
 	  || (echo "bench-exec: BAD artifact or backend disagreement" && exit 1)

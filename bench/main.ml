@@ -19,8 +19,8 @@
                                               # from-scratch matching, exactness
                                               # gate (writes BENCH_serve.json)
      dune exec bench/main.exe -- exec [--json]  # fork vs domains vs inline over
-                                              # a sweep grid + parallel-rho
-                                              # micro (writes BENCH_exec.json)
+                                              # a sweep grid, byte-agreement
+                                              # gate (writes BENCH_exec.json)
      dune exec bench/main.exe -- dist [--json]  # sharded sweep + verifying
                                               # merge vs single box, byte-
                                               # agreement gate (BENCH_dist.json)
@@ -197,7 +197,7 @@ let theorem1_table ~jobs () =
 let theorem3_table ~jobs () =
   section "Theorem 3 ablation — FS-MRT optimal rho under +(2 dmax - 1) capacity";
   Printf.printf
-    "Binary search for the minimum fractional rho, then Lemma 4.3-style rounding;\n\
+    "Search for the minimum fractional rho, then Lemma 4.3-style rounding;\n\
      overflow must stay within 2 dmax - 1 and the response within rho.\n\n%!";
   let t =
     Table.create
@@ -573,7 +573,7 @@ let fill_ratio ~basis_nnz ~factor_nnz =
   if basis_nnz > 0 then float_of_int factor_nnz /. float_of_int basis_nnz else 0.
 
 (* Run the two warmable pipelines — full iterative rounding and the full
-   rho binary search — with warm starts on or off, under counter and
+   rho search — with warm starts on or off, under counter and
    wall-clock measurement. *)
 let lp_run_side ~warm inst =
   Simplex.reset_counters ();
@@ -664,7 +664,7 @@ let lp_large_run ?(explicit_ub_rows = false) ~label ~n () =
 let lp_bench ?(json = false) ?(smoke = false) () =
   section "LP warm-start bench — cold vs warm simplex across the offline pipelines";
   Printf.printf
-    "Each cell runs full iterative rounding (LP (5)-(8)) and the full rho binary\n\
+    "Each cell runs full iterative rounding (LP (5)-(8)) and the full rho\n\
      search (LP (19)-(21)) twice: cold (every solve from the all-slack basis) and\n\
      warm (basis threaded across rounds/probes).  Outputs must agree exactly;\n\
      pivot counts are the speedup evidence.\n\n%!";
@@ -1039,7 +1039,7 @@ let serve_bench ?(json = false) () =
   end
 
 (* ------------------------------------------------------------------ *)
-(* Executor bench: fork vs domains vs inline + parallel rho probes     *)
+(* Executor bench: fork vs domains vs inline                          *)
 (* ------------------------------------------------------------------ *)
 
 module Backend = Flowsched_domains.Backend
@@ -1063,9 +1063,7 @@ let exec_bench ?(json = false) ~jobs () =
   Printf.printf
     "The same LP-enabled sweep grid runs through all three executors; after\n\
      dropping wall-clock lines the three artifacts must be byte-identical\n\
-     (the backends may only differ in speed, never in results).  Then the\n\
-     parallel-rho micro: the FS-MRT binary search with 1 probe per round vs\n\
-     a 4-way k-section on spawned domains, which must find the same rho.\n\n%!";
+     (the backends may only differ in speed, never in results).\n\n%!";
   let policies = Heuristics.all_paper_heuristics in
   let cells =
     List.concat_map
@@ -1137,80 +1135,17 @@ let exec_bench ?(json = false) ~jobs () =
       sides
   in
   Table.print t;
-  (* ---- parallel rho probes ---- *)
-  let rho_cells =
-    [
-      ("poisson m=4 rate=2 T=10", Workload.poisson ~m:4 ~rate:2.0 ~rounds:10 ~seed:5);
-      ("poisson m=6 rate=4 T=8", Workload.poisson ~m:6 ~rate:4.0 ~rounds:8 ~seed:9);
-    ]
-  in
-  let rt =
-    Table.create
-      [
-        ("cell", Table.Left);
-        ("flows", Table.Right);
-        ("rho", Table.Right);
-        ("seq s", Table.Right);
-        ("4-probe s", Table.Right);
-        ("speedup", Table.Right);
-        ("agree", Table.Right);
-      ]
-  in
-  let rho_rows =
-    List.filter_map
-      (fun (label, inst) ->
-        if Instance.n inst = 0 then None
-        else begin
-          let time f =
-            let t0 = Unix.gettimeofday () in
-            let r = f () in
-            (r, elapsed t0)
-          in
-          let rho_seq, seq_s =
-            time (fun () -> Mrt_scheduler.min_fractional_rho ~probes:1 inst)
-          in
-          let rho_par, par_s =
-            time (fun () -> Mrt_scheduler.min_fractional_rho ~probes:4 inst)
-          in
-          let agree = rho_seq = rho_par in
-          if not agree then incr disagreements;
-          Table.add_row rt
-            [
-              label;
-              string_of_int (Instance.n inst);
-              string_of_int rho_seq;
-              Table.cell_float ~decimals:3 seq_s;
-              Table.cell_float ~decimals:3 par_s;
-              Printf.sprintf "%.2fx" (seq_s /. par_s);
-              string_of_bool agree;
-            ];
-          Some
-            (Json.Obj
-               [
-                 ("cell", Json.Str label);
-                 ("flows", Json.Int (Instance.n inst));
-                 ("rho", Json.Int rho_seq);
-                 ("seq_wall_s", Json.float seq_s);
-                 ("probes4_wall_s", Json.float par_s);
-                 ("speedup", Json.float (seq_s /. par_s));
-                 ("agree", Json.Bool agree);
-               ])
-        end)
-      rho_cells
-  in
-  Table.print rt;
   Printf.printf "\n(detected cores: %d — speedups are only meaningful above 1)\n%!"
     (Domain.recommended_domain_count ());
   if json then begin
     let artifact =
       Json.Obj
         [
-          ("schema", Json.Str "flowsched-bench-exec/1");
+          ("schema", Json.Str "flowsched-bench-exec/2");
           ("jobs", Json.Int jobs);
           ("cores", Json.Int (Domain.recommended_domain_count ()));
           ("sweep_cells", Json.Int ncells);
           ("backends", Json.Arr backend_rows);
-          ("parallel_rho", Json.Arr rho_rows);
           ("disagreements", Json.Int !disagreements);
         ]
     in
@@ -1222,7 +1157,7 @@ let exec_bench ?(json = false) ~jobs () =
     Printf.printf "wrote %s\n%!" path
   end;
   if !disagreements > 0 then begin
-    Printf.eprintf "FAIL: %d backend/probe disagreement(s)\n%!" !disagreements;
+    Printf.eprintf "FAIL: %d backend disagreement(s)\n%!" !disagreements;
     exit 1
   end
 

@@ -1,7 +1,7 @@
-(** FS-MRT solver (Theorem 3 applied through binary search).
+(** FS-MRT solver (Theorem 3 applied through a search on rho).
 
     The minimum maximum response time [rho*] of a fractional schedule is
-    found by binary search on the feasibility of LP (19)–(21) with
+    found by searching on the feasibility of LP (19)–(21) with
     [R(e) = \[r_e, r_e + rho)] — feasibility is monotone in [rho].  Since
     the LP is a relaxation, [rho*] lower bounds the optimal integral
     maximum response time; rounding the solution at [rho*] then yields a
@@ -22,21 +22,30 @@ type solution = {
 val feasible_rho : Flowsched_switch.Instance.t -> int -> bool
 (** Fractional feasibility of a target maximum response time. *)
 
-val min_fractional_rho :
-  ?hi:int -> ?warm_start:bool -> ?probes:int -> Flowsched_switch.Instance.t -> int
-(** Binary search for the smallest fractionally feasible rho.  [hi]
-    defaults to a horizon at which feasibility is guaranteed.
-    [warm_start] (default [true]) seeds each probe LP with the optimal
-    basis of the last feasible probe; the result is identical either way
-    (feasibility does not depend on the vertex reached), only faster.
-    [probes] (default 1) > 1 turns each bisection round into a k-section:
-    that many candidate rhos are probed concurrently on spawned domains
-    ({!Flowsched_domains.Parallel}), every probe warm-starting from the
-    same shared basis snapshot, and the round reduces deterministically by
-    probe index — the returned rho (and the [mrt.rho_probes_feasible] /
-    probe-count trajectory for a fixed [probes]) is reproducible, but the
-    probe {e count} differs from the sequential search, so sweeps that
-    gate on counter identity keep [probes = 1].  A probe checks the
+val density_lower_bound : Flowsched_switch.Instance.t -> int
+(** A lower bound on the least fractionally feasible rho, in exact
+    integers: the largest [ceil ((D_p(a, b) - c_p (b - a)) / c_p)] over
+    ports [p] (inputs and outputs) and release windows [a <= b], where
+    [D_p(a, b)] is the total demand at [p] released in rounds [a..b] and
+    [c_p] its capacity; at least [1].  Proof: those flows may only use
+    rounds [a..b + rho - 1], and summing their assignment rows (20) against
+    [p]'s capacity rows (19) over those [b - a + rho] rounds gives
+    [D_p(a, b) <= c_p (b - a + rho)].  One [O(last_release)] scan per port
+    that carries a flow. *)
+
+val min_fractional_rho : ?hi:int -> ?warm_start:bool -> Flowsched_switch.Instance.t -> int
+(** The smallest fractionally feasible rho.  The search starts at
+    [lo = min hi (density_lower_bound inst)] and gallops up, probing
+    [lo, lo + 2, lo + 6, lo + 14, ...] (capped at [hi]) until a probe LP is
+    feasible, then bisects the bracket the gallop leaves.  Every rho below
+    the bound is infeasible, so on most instances the first probe confirms
+    the answer; the result is always confirmed by an LP solve, and
+    [rho - 1] is shown infeasible either by the bound or by a probe.  [hi]
+    defaults to a horizon at which feasibility is guaranteed; raises
+    [Failure] when the probe at [hi] is infeasible.  [warm_start] (default
+    [true]) seeds each bisection probe with the optimal basis of the last
+    feasible probe; the gallop probes run cold (no feasible basis exists
+    yet), and the result is identical either way.  A probe checks the
     cooperative {!Flowsched_domains.Deadline} before solving, so executor
     timeouts interrupt the search between LPs. *)
 

@@ -4,8 +4,7 @@ module Trace = Flowsched_obs.Trace
 let c_forks = Metrics.counter "domains.parallel_forks"
 
 (* Indices are strided, not blocked: chunk k runs k, k+width, k+2width...
-   so a monotone cost gradient across indices (typical for rho probes)
-   spreads evenly. *)
+   so a monotone cost gradient across indices spreads evenly. *)
 let run_chunk n width k f =
   let out = ref [] in
   let i = ref k in

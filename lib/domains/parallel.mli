@@ -5,7 +5,7 @@
     domain [i mod width]; the caller takes residue class 0) and returns the
     results in index order.  This is what the fork pool could never offer:
     a sweep cell, itself already running on an executor domain, can fan a
-    hot inner loop (parallel rho probes, BvN stripes) across cores and
+    hot inner loop (seeded serve replicas, BvN stripes) across cores and
     join before returning, with no serialization.
 
     Determinism and observability: every spawned domain's metric cells and

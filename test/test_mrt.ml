@@ -89,42 +89,114 @@ let prop_feasibility_monotone =
       && ((rho = 1) || not (Mrt_scheduler.feasible_rho inst (rho - 1))))
 
 let test_rho_search_warm_matches_cold () =
-  (* Basis reuse across the binary-search probes must not change the
-     answer (feasibility of each probe LP is vertex-independent) and
-     must strictly reduce the total pivot count. *)
+  (* Basis reuse across the bisection probes must not change the answer
+     (feasibility of each probe LP is vertex-independent) and must strictly
+     reduce the total pivot count.  The gallop probes run cold either way,
+     so the instance must leave the density bound below rho: there the
+     gallop overshoots and the bisection runs warm-chained probes. *)
   let module Simplex = Flowsched_lp.Simplex in
-  let inst = tiny_instance 71 ~m:4 ~n:24 ~maxrel:4 in
+  let inst = tiny_instance 87 ~m:4 ~n:24 ~maxrel:4 in
   Simplex.reset_counters ();
   let rho_cold = Mrt_scheduler.min_fractional_rho ~warm_start:false inst in
   let cold_pivots = (Simplex.read_counters ()).Simplex.pivots in
   Simplex.reset_counters ();
   let rho_warm = Mrt_scheduler.min_fractional_rho ~warm_start:true inst in
   let warm_pivots = (Simplex.read_counters ()).Simplex.pivots in
+  let bound = Mrt_scheduler.density_lower_bound inst in
+  Alcotest.(check bool)
+    (Printf.sprintf "bound below rho, so the bisection runs (%d < %d)" bound rho_cold)
+    true (bound < rho_cold);
   Alcotest.(check int) "identical rho" rho_cold rho_warm;
   Alcotest.(check bool)
     (Printf.sprintf "strictly fewer pivots (%d < %d)" warm_pivots cold_pivots)
     true
     (warm_pivots < cold_pivots)
 
-let test_rho_search_parallel_probes_match () =
-  (* The k-section search on spawned domains must find exactly the rho of
-     the sequential bisection, for every probe width and with warm starts
-     on or off (the reduction is deterministic by probe index). *)
-  List.iter
-    (fun seed ->
-      let inst = tiny_instance seed ~m:4 ~n:20 ~maxrel:4 in
-      let reference = Mrt_scheduler.min_fractional_rho ~probes:1 inst in
-      List.iter
-        (fun probes ->
-          List.iter
-            (fun warm_start ->
-              Alcotest.(check int)
-                (Printf.sprintf "probes=%d warm=%b (seed %d)" probes warm_start seed)
-                reference
-                (Mrt_scheduler.min_fractional_rho ~warm_start ~probes inst))
-            [ true; false ])
-        [ 2; 3; 4 ])
-    [ 72; 73; 74 ]
+(* --- density lower bound and the galloping search --- *)
+
+let test_density_bound_single_port () =
+  (* Three unit flows released at round 0 on a unit port pair need three
+     rounds: the bound is tight.  A caller-supplied [hi] below it is
+     infeasible, so the search fails as it always has; [hi] equal to rho*
+     is returned. *)
+  let inst = mk ~m:1 [ (0, 0, 1, 0); (0, 0, 1, 0); (0, 0, 1, 0) ] in
+  Alcotest.(check int) "bound" 3 (Mrt_scheduler.density_lower_bound inst);
+  Alcotest.(check int) "rho" 3 (Mrt_scheduler.min_fractional_rho inst);
+  Alcotest.check_raises "hi below bound"
+    (Failure "Mrt_scheduler.min_fractional_rho: upper bound infeasible") (fun () ->
+      ignore (Mrt_scheduler.min_fractional_rho ~hi:2 inst));
+  Alcotest.(check int) "hi = rho" 3 (Mrt_scheduler.min_fractional_rho ~hi:3 inst)
+
+let test_density_bound_windowed () =
+  (* Capacity 2.  One flow at round 0, then five unit flows and a
+     demand-2 flow at round 2.  The window [2, 2] carries 7 units:
+     ceil (7 / 2) = 4.  The wider window [0, 2] gives only
+     ceil ((8 - 2 * 2) / 2) = 2, so the maximum must come from a window
+     that does not start at round 0. *)
+  let inst =
+    mk ~cap_in:[| 2 |] ~cap_out:[| 2 |] ~m:1
+      ((0, 0, 1, 0) :: (0, 0, 2, 2) :: List.init 5 (fun _ -> (0, 0, 1, 2)))
+  in
+  Alcotest.(check int) "bound" 4 (Mrt_scheduler.density_lower_bound inst);
+  Alcotest.(check int) "rho" 4 (Mrt_scheduler.min_fractional_rho inst)
+
+let test_density_bound_loose () =
+  (* Every single port fits in rho = 2 (input 1 carries flows released at
+     0, 0, 1, 2; output 1 flows at 1, 2, 2), but not both at once: at
+     rho = 2 input 1's two round-0 flows fill rounds 0-1, which pushes its
+     round-1 flow to round 2 and its round-2 flow to round 3; output 1 is
+     then full in rounds 2 and 3, leaving no room for flow (0, 1) released
+     at round 2.  So rho* = 3 > bound = 2. *)
+  let inst = mk ~m:2 [ (0, 1, 1, 2); (1, 0, 1, 0); (1, 0, 1, 0); (1, 1, 1, 1); (1, 1, 1, 2) ] in
+  Alcotest.(check int) "bound" 2 (Mrt_scheduler.density_lower_bound inst);
+  Alcotest.(check bool) "rho=2 infeasible" false (Mrt_scheduler.feasible_rho inst 2);
+  Alcotest.(check int) "rho" 3 (Mrt_scheduler.min_fractional_rho inst)
+
+(* Reference search: plain bisection over [1, horizon] on the feasibility
+   oracle. *)
+let reference_rho inst =
+  let lo = ref 1 and hi = ref (Art_lp.default_horizon inst) in
+  while !lo < !hi do
+    let mid = (!lo + !hi) / 2 in
+    if Mrt_scheduler.feasible_rho inst mid then hi := mid else lo := mid + 1
+  done;
+  !lo
+
+(* Capacities 1-3, demands 1-3 (at most the flow's kappa), up to 8 flows,
+   possibly none (the empty instance); the last port on each side carries no
+   flow when m > 1. *)
+let capacity_instance seed ~m ~n ~maxrel =
+  let g = Flowsched_util.Prng.create seed in
+  let cap () = 1 + Flowsched_util.Prng.int g 3 in
+  let cap_in = Array.init m (fun _ -> cap ()) and cap_out = Array.init m (fun _ -> cap ()) in
+  let used = max 1 (m - 1) in
+  mk ~cap_in ~cap_out ~m
+    (List.init n (fun _ ->
+         let s = Flowsched_util.Prng.int g used and d = Flowsched_util.Prng.int g used in
+         let kappa = min cap_in.(s) cap_out.(d) in
+         (s, d, 1 + Flowsched_util.Prng.int g kappa, Flowsched_util.Prng.int g (maxrel + 1))))
+
+let prop_galloping_search_matches_bisection =
+  QCheck2.Test.make ~name:"density bound <= rho = plain bisection, rho least feasible"
+    ~count:150
+    QCheck2.Gen.(quad (int_bound 1_000_000) (int_range 1 4) (int_range 0 8) (int_range 0 4))
+    (fun (seed, m, n, maxrel) ->
+      let inst = capacity_instance seed ~m ~n ~maxrel in
+      let bound = Mrt_scheduler.density_lower_bound inst in
+      let rho = Mrt_scheduler.min_fractional_rho inst in
+      let hi_below_bound_fails =
+        bound = 1
+        ||
+        match Mrt_scheduler.min_fractional_rho ~hi:(bound - 1) inst with
+        | _ -> false
+        | exception Failure msg -> msg = "Mrt_scheduler.min_fractional_rho: upper bound infeasible"
+      in
+      bound <= rho
+      && rho = reference_rho inst
+      && Mrt_scheduler.feasible_rho inst rho
+      && (rho = 1 || not (Mrt_scheduler.feasible_rho inst (rho - 1)))
+      && Mrt_scheduler.min_fractional_rho ~hi:rho inst = rho
+      && hi_below_bound_fails)
 
 let prop_declared_ub_matches_explicit_rows =
   (* The declared-bound formulation (x_{e,t} <= 1 enforced by the simplex's
@@ -274,6 +346,7 @@ let () =
         prop_rounding_guarantee_demands;
         prop_solve_optimal_wrt_exact;
         prop_deadline_schedules_meet_deadlines;
+        prop_galloping_search_matches_bisection;
       ]
   in
   Alcotest.run "flowsched_mrt"
@@ -288,8 +361,9 @@ let () =
           Alcotest.test_case "feasibility + binary search" `Quick test_lp_feasibility_basic;
           Alcotest.test_case "fractional below integral" `Quick test_lp_fractional_below_integral;
           Alcotest.test_case "warm rho search matches cold" `Quick test_rho_search_warm_matches_cold;
-          Alcotest.test_case "parallel probes match sequential" `Quick
-            test_rho_search_parallel_probes_match;
+          Alcotest.test_case "density bound: one port" `Quick test_density_bound_single_port;
+          Alcotest.test_case "density bound: windowed, cap 2" `Quick test_density_bound_windowed;
+          Alcotest.test_case "density bound: loose" `Quick test_density_bound_loose;
         ] );
       ( "rounding",
         [
