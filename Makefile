@@ -1,5 +1,5 @@
 .PHONY: build test bench bench-smoke bench-lp serve-smoke obs-smoke chaos-smoke \
-  domains-smoke bench-exec scenarios-smoke bench-scenarios dist-smoke bench-dist \
+  bench-exec scenarios-smoke bench-scenarios dist-smoke bench-dist \
   reproduce goldens clean
 
 build:
@@ -113,52 +113,19 @@ serve-smoke:
 	  || (echo "serve-smoke: BAD artifact or exactness gate failure" && exit 1)
 	@rm -f _serve_a.json _serve_b.json
 
-# Domains-executor byte-identity gate: the same LP-enabled sweep grid on the
-# shared-memory domains backend with 4 workers vs the sequential run must
-# produce (a) byte-identical artifacts after dropping the timing lines and
-# the worker-count metadata line (the only field that records how the run
-# was parallelized) and (b) byte-identical counter totals (executor-internal
-# pool.*/domains.* counters depend on worker count, so both families are
-# excluded — every algorithmic counter must match exactly).
-DOMAINS_GRID = --kinds poisson,uniform -m 4 --rates 2 --rounds 4,5 --seeds 1,2 \
-  --policies maxcard,minrtime --lp
-DOMAINS_FILTER = grep -v 'wall_clock_s\|phase1_seconds\|phase2_seconds\|"jobs":'
-
-domains-smoke: build
-	@rm -f _dom_*.json _dom_*.txt _dom_*.f
-	_build/default/bin/main.exe sweep $(DOMAINS_GRID) --backend domains --jobs 4 \
-	  --out _dom_sweep4.json 2>/dev/null
-	_build/default/bin/main.exe sweep $(DOMAINS_GRID) --jobs 1 \
-	  --out _dom_sweep1.json 2>/dev/null
-	@$(DOMAINS_FILTER) _dom_sweep4.json > _dom_sweep4.f
-	@$(DOMAINS_FILTER) _dom_sweep1.json > _dom_sweep1.f
-	@diff _dom_sweep1.f _dom_sweep4.f >/dev/null \
-	  && echo "domains-smoke: artifact byte-identical (domains --jobs 4 vs --jobs 1)" \
-	  || (echo "domains-smoke: artifact diverges between domains --jobs 4 and --jobs 1" && exit 1)
-	_build/default/bin/main.exe sweep $(DOMAINS_GRID) --backend domains --jobs 4 \
-	  --metrics --out _dom_m4.json 2>_dom_metrics4.txt
-	_build/default/bin/main.exe sweep $(DOMAINS_GRID) --jobs 1 \
-	  --metrics --out _dom_m1.json 2>_dom_metrics1.txt
-	@grep '^counter ' _dom_metrics4.txt | grep -v '^counter pool\.\|^counter domains\.' > _dom_c4.txt
-	@grep '^counter ' _dom_metrics1.txt | grep -v '^counter pool\.\|^counter domains\.' > _dom_c1.txt
-	@diff _dom_c1.txt _dom_c4.txt \
-	  && echo "domains-smoke: OK (counter totals match)" \
-	  || (echo "domains-smoke: counter totals diverge between domains --jobs 4 and --jobs 1" && exit 1)
-	@rm -f _dom_*.json _dom_*.txt _dom_*.f
-
-# Executor bench: fork vs domains vs inline over the same sweep grid (the
-# artifacts must agree byte-for-byte modulo timing).
+# Executor bench: fork vs inline over the same sweep grid (the artifacts
+# must agree byte-for-byte modulo timing).
 # Writes BENCH_exec.json; exits non-zero on any disagreement.
 bench-exec:
 	dune exec bench/main.exe -- exec --json --jobs 4
-	@grep -q '"schema": "flowsched-bench-exec/2"' BENCH_exec.json \
+	@grep -q '"schema": "flowsched-bench-exec/3"' BENCH_exec.json \
 	  && grep -q '"disagreements": 0' BENCH_exec.json \
 	  && echo "bench-exec: OK (BENCH_exec.json valid, backends agree)" \
 	  || (echo "bench-exec: BAD artifact or backend disagreement" && exit 1)
 
 # Scenario-matrix byte-identity gate: the same policy x workload x mode grid
 # (8 zoo kinds x 3 problem modes x 2 seeds, LP bounds on) through 1 inline
-# worker and 4 shared-memory domains workers must write byte-for-byte
+# worker and 4 forked workers must write byte-for-byte
 # identical artifacts — matrix cells deliberately carry no wall-clock or
 # worker-count metadata, so cmp(1) is the whole gate.
 MATRIX_GRID = --kinds poisson,pareto:1.5,lognormal,bursty,diurnal,flash-crowd,bimodal,staircase \
@@ -169,22 +136,22 @@ scenarios-smoke: build
 	@rm -f _matrix_j1.json _matrix_j4.json
 	_build/default/bin/main.exe matrix $(MATRIX_GRID) --jobs 1 --backend inline \
 	  --out _matrix_j1.json
-	_build/default/bin/main.exe matrix $(MATRIX_GRID) --jobs 4 --backend domains \
+	_build/default/bin/main.exe matrix $(MATRIX_GRID) --jobs 4 --backend fork \
 	  --out _matrix_j4.json
 	@cmp _matrix_j1.json _matrix_j4.json \
-	  && echo "scenarios-smoke: matrix artifact byte-identical (inline --jobs 1 vs domains --jobs 4)" \
+	  && echo "scenarios-smoke: matrix artifact byte-identical (inline --jobs 1 vs fork --jobs 4)" \
 	  || (echo "scenarios-smoke: matrix artifact diverges across jobs/backends" && exit 1)
 	@grep -q '"schema": "flowsched-matrix/1"' _matrix_j1.json \
 	  && echo "scenarios-smoke: OK (_matrix_j1.json valid)" \
 	  || (echo "scenarios-smoke: BAD artifact" && exit 1)
 	@rm -f _matrix_j1.json _matrix_j4.json
 
-# Scenarios bench: the same matrix grid on the inline, fork and domains
-# backends; any byte-level artifact disagreement exits non-zero.  Writes the
+# Scenarios bench: the same matrix grid on the inline and fork backends;
+# any byte-level artifact disagreement exits non-zero.  Writes the
 # schema-checked BENCH_scenarios.json for the CI artifact upload.
 bench-scenarios:
 	dune exec bench/main.exe -- scenarios --json --jobs 4
-	@grep -q '"schema": "flowsched-bench-scenarios/1"' BENCH_scenarios.json \
+	@grep -q '"schema": "flowsched-bench-scenarios/2"' BENCH_scenarios.json \
 	  && grep -q '"disagreements": 0' BENCH_scenarios.json \
 	  && echo "bench-scenarios: OK (BENCH_scenarios.json valid, backends agree)" \
 	  || (echo "bench-scenarios: BAD artifact or backend disagreement" && exit 1)

@@ -18,7 +18,7 @@
      dune exec bench/main.exe -- serve [--json]  # serve loop: incremental vs
                                               # from-scratch matching, exactness
                                               # gate (writes BENCH_serve.json)
-     dune exec bench/main.exe -- exec [--json]  # fork vs domains vs inline over
+     dune exec bench/main.exe -- exec [--json]  # fork vs inline over
                                               # a sweep grid, byte-agreement
                                               # gate (writes BENCH_exec.json)
      dune exec bench/main.exe -- dist [--json]  # sharded sweep + verifying
@@ -1039,7 +1039,7 @@ let serve_bench ?(json = false) () =
   end
 
 (* ------------------------------------------------------------------ *)
-(* Executor bench: fork vs domains vs inline                          *)
+(* Executor bench: fork vs inline                                     *)
 (* ------------------------------------------------------------------ *)
 
 module Backend = Flowsched_domains.Backend
@@ -1058,11 +1058,63 @@ let strip_timing_lines s =
   in
   String.concat "\n" (List.filter keep (String.split_on_char '\n' s))
 
+(* Runs the grid under every backend (inline first: the reference), prints
+   the timing table, and returns one JSON row per backend plus the number
+   of backends whose artifact differs from inline's. *)
+let compare_backends ~jobs ~ncells ~run ~artifact =
+  let sides =
+    List.map
+      (fun backend ->
+        let t0 = Unix.gettimeofday () in
+        let results = run backend in
+        let wall = elapsed t0 in
+        (backend, wall, artifact results))
+      Backend.all
+  in
+  let reference = match sides with (_, _, a) :: _ -> a | [] -> assert false in
+  let t =
+    Table.create
+      [
+        ("backend", Table.Left);
+        ("cells", Table.Right);
+        ("jobs", Table.Right);
+        ("wall s", Table.Right);
+        ("cells/s", Table.Right);
+        ("artifact agree", Table.Right);
+      ]
+  in
+  let disagreements = ref 0 in
+  let rows =
+    List.map
+      (fun (backend, wall, a) ->
+        let agree = a = reference in
+        if not agree then incr disagreements;
+        Table.add_row t
+          [
+            Backend.to_string backend;
+            string_of_int ncells;
+            string_of_int (match backend with Backend.Inline -> 1 | Backend.Fork -> jobs);
+            Table.cell_float ~decimals:3 wall;
+            Table.cell_float ~decimals:1 (float_of_int ncells /. wall);
+            string_of_bool agree;
+          ];
+        Json.Obj
+          [
+            ("backend", Json.Str (Backend.to_string backend));
+            ("wall_s", Json.float wall);
+            ("cells_per_sec", Json.float (float_of_int ncells /. wall));
+            ("artifact_agree", Json.Bool agree);
+          ])
+      sides
+  in
+  Table.print t;
+  (rows, !disagreements)
+
 let exec_bench ?(json = false) ~jobs () =
-  section "Executor bench — sweep grid under fork, domains, and inline backends";
+  section "Executor bench — sweep grid under the fork and inline backends";
   Printf.printf
-    "The same LP-enabled sweep grid runs through all three executors; after\n\
-     dropping wall-clock lines the three artifacts must be byte-identical\n\
+    "The same LP-enabled sweep grid runs through both executors; after\n\
+     dropping wall-clock lines the two artifacts must be byte-identical\n\
      (the backends may only differ in speed, never in results).\n\n%!";
   let policies = Heuristics.all_paper_heuristics in
   let cells =
@@ -1079,74 +1131,31 @@ let exec_bench ?(json = false) ~jobs () =
               sweep_seed;
               lp = true;
             })
-          (* Enough work per backend (~0.1s inline) that executor startup
-             cost — forked workers or spawned domains — amortizes away and
-             the throughput comparison is not dominated by noise. *)
+          (* Enough work per backend (~0.1s inline) that forking the
+             workers amortizes away and the throughput comparison is not
+             dominated by noise. *)
           [ (2.0, 8); (3.0, 9); (4.0, 7) ])
       [ 1; 2; 3; 4 ]
   in
   let ncells = List.length cells in
-  let disagreements = ref 0 in
-  let run_backend backend =
-    let t0 = Unix.gettimeofday () in
-    let results = Experiment.run_sweep ~policies ~backend ~jobs cells in
-    let wall = elapsed t0 in
-    let artifact =
-      strip_timing_lines (Json.to_string (Report.sweep_json ~jobs results))
-    in
-    (backend, wall, artifact)
+  let backend_rows, disagreements =
+    compare_backends ~jobs ~ncells
+      ~run:(fun backend -> Experiment.run_sweep ~policies ~backend ~jobs cells)
+      ~artifact:(fun results ->
+        strip_timing_lines (Json.to_string (Report.sweep_json ~jobs results)))
   in
-  let sides = List.map run_backend [ Backend.Inline; Backend.Fork; Backend.Domains ] in
-  let reference =
-    match sides with (_, _, a) :: _ -> a | [] -> assert false
-  in
-  let t =
-    Table.create
-      [
-        ("backend", Table.Left);
-        ("cells", Table.Right);
-        ("jobs", Table.Right);
-        ("wall s", Table.Right);
-        ("cells/s", Table.Right);
-        ("artifact agree", Table.Right);
-      ]
-  in
-  let backend_rows =
-    List.map
-      (fun (backend, wall, artifact) ->
-        let agree = artifact = reference in
-        if not agree then incr disagreements;
-        Table.add_row t
-          [
-            Backend.to_string backend;
-            string_of_int ncells;
-            string_of_int (match backend with Backend.Inline -> 1 | _ -> jobs);
-            Table.cell_float ~decimals:3 wall;
-            Table.cell_float ~decimals:1 (float_of_int ncells /. wall);
-            string_of_bool agree;
-          ];
-        Json.Obj
-          [
-            ("backend", Json.Str (Backend.to_string backend));
-            ("wall_s", Json.float wall);
-            ("cells_per_sec", Json.float (float_of_int ncells /. wall));
-            ("artifact_agree", Json.Bool agree);
-          ])
-      sides
-  in
-  Table.print t;
   Printf.printf "\n(detected cores: %d — speedups are only meaningful above 1)\n%!"
-    (Domain.recommended_domain_count ());
+    (Pool.default_jobs ());
   if json then begin
     let artifact =
       Json.Obj
         [
-          ("schema", Json.Str "flowsched-bench-exec/2");
+          ("schema", Json.Str "flowsched-bench-exec/3");
           ("jobs", Json.Int jobs);
-          ("cores", Json.Int (Domain.recommended_domain_count ()));
+          ("cores", Json.Int (Pool.default_jobs ()));
           ("sweep_cells", Json.Int ncells);
           ("backends", Json.Arr backend_rows);
-          ("disagreements", Json.Int !disagreements);
+          ("disagreements", Json.Int disagreements);
         ]
     in
     let path = "BENCH_exec.json" in
@@ -1156,8 +1165,8 @@ let exec_bench ?(json = false) ~jobs () =
     close_out oc;
     Printf.printf "wrote %s\n%!" path
   end;
-  if !disagreements > 0 then begin
-    Printf.eprintf "FAIL: %d backend disagreement(s)\n%!" !disagreements;
+  if disagreements > 0 then begin
+    Printf.eprintf "FAIL: %d backend disagreement(s)\n%!" disagreements;
     exit 1
   end
 
@@ -1312,8 +1321,8 @@ let scenarios_bench ?(json = false) ~jobs () =
   section "Scenario matrix — zoo workloads x problem modes across backends";
   Printf.printf
     "The matrix grid (workload zoo x flows/endpoint/coflow modes, LP bounds\n\
-     on) runs through all three executors; the artifact carries no timing\n\
-     metadata, so the three JSON strings must be byte-identical — backends\n\
+     on) runs through both executors; the artifact carries no timing\n\
+     metadata, so the two JSON strings must be byte-identical — backends\n\
      may only differ in speed, never in results.\n\n%!";
   let module Scenario = Flowsched_scenarios.Scenario in
   let module Matrix = Flowsched_scenarios.Matrix in
@@ -1354,61 +1363,22 @@ let scenarios_bench ?(json = false) ~jobs () =
   in
   let ncells = List.length cells in
   let policies = Heuristics.all_paper_heuristics in
-  let disagreements = ref 0 in
-  let run_backend backend =
-    let t0 = Unix.gettimeofday () in
-    let results = Matrix.run ~policies ~backend ~jobs cells in
-    let wall = elapsed t0 in
-    (backend, wall, Json.to_string (Matrix.to_json results))
+  let backend_rows, disagreements =
+    compare_backends ~jobs ~ncells
+      ~run:(fun backend -> Matrix.run ~policies ~backend ~jobs cells)
+      ~artifact:(fun results -> Json.to_string (Matrix.to_json results))
   in
-  let sides = List.map run_backend [ Backend.Inline; Backend.Fork; Backend.Domains ] in
-  let reference = match sides with (_, _, a) :: _ -> a | [] -> assert false in
-  let t =
-    Table.create
-      [
-        ("backend", Table.Left);
-        ("cells", Table.Right);
-        ("jobs", Table.Right);
-        ("wall s", Table.Right);
-        ("cells/s", Table.Right);
-        ("artifact agree", Table.Right);
-      ]
-  in
-  let backend_rows =
-    List.map
-      (fun (backend, wall, artifact) ->
-        let agree = artifact = reference in
-        if not agree then incr disagreements;
-        Table.add_row t
-          [
-            Backend.to_string backend;
-            string_of_int ncells;
-            string_of_int (match backend with Backend.Inline -> 1 | _ -> jobs);
-            Table.cell_float ~decimals:3 wall;
-            Table.cell_float ~decimals:1 (float_of_int ncells /. wall);
-            string_of_bool agree;
-          ];
-        Json.Obj
-          [
-            ("backend", Json.Str (Backend.to_string backend));
-            ("wall_s", Json.float wall);
-            ("cells_per_sec", Json.float (float_of_int ncells /. wall));
-            ("artifact_agree", Json.Bool agree);
-          ])
-      sides
-  in
-  Table.print t;
   if json then begin
     let artifact =
       Json.Obj
         [
-          ("schema", Json.Str "flowsched-bench-scenarios/1");
+          ("schema", Json.Str "flowsched-bench-scenarios/2");
           ("jobs", Json.Int jobs);
           ("matrix_cells", Json.Int ncells);
           ("kinds", Json.Arr (List.map (fun k -> Json.Str k) kinds));
           ("modes", Json.Arr (List.map (fun m -> Json.Str m) modes));
           ("backends", Json.Arr backend_rows);
-          ("disagreements", Json.Int !disagreements);
+          ("disagreements", Json.Int disagreements);
         ]
     in
     let path = "BENCH_scenarios.json" in
@@ -1418,9 +1388,9 @@ let scenarios_bench ?(json = false) ~jobs () =
     close_out oc;
     Printf.printf "wrote %s\n%!" path
   end;
-  if !disagreements > 0 then begin
+  if disagreements > 0 then begin
     Printf.eprintf "FAIL: %d backend disagreement(s) on the matrix artifact\n%!"
-      !disagreements;
+      disagreements;
     exit 1
   end
 

@@ -69,8 +69,8 @@ let with_obs ~trace ~metrics f =
 
 (* ----- worker-count and backend flags (shared by the parallel drivers) ----- *)
 
-(* [--jobs] accepts a positive worker count or "auto" (the runtime's
-   recommended domain count).  0 is rejected outright: zero workers cannot
+(* [--jobs] accepts a positive worker count or "auto" (the detected core
+   count).  0 is rejected outright: zero workers cannot
    run anything, and the old silent clamp to 1 hid the typo. *)
 let jobs_conv =
   let parse s =
@@ -123,10 +123,9 @@ let backend_term =
     & opt backend_conv Flowsched_domains.Backend.Fork
     & info [ "backend" ] ~docv:"BACKEND"
         ~doc:
-          "Parallel executor for the cell grid: $(b,fork) (process pool, isolated address \
-           spaces), $(b,domains) (shared-memory OCaml 5 domains with work stealing), or \
-           $(b,inline) (sequential, in-process).  The artifact is byte-identical across \
-           all three.")
+          "Executor for the cell grid: $(b,fork) (process pool, isolated address spaces) \
+           or $(b,inline) (sequential, in-process).  The artifact is byte-identical \
+           across both.")
 
 let print_schedule_stats inst schedule =
   Printf.printf "flows:            %d\n" (Instance.n inst);
@@ -338,14 +337,12 @@ let simulate_cmd =
 
 (* ----- serve ----- *)
 
-let serve inst_path core_name seed jobs workload m rate slots max_demand alpha fraction
-    queue_cap buffer_cap max_slots idle_limit status_every json trace metrics =
+let serve inst_path core_name seed workload m rate slots max_demand alpha fraction queue_cap
+    buffer_cap max_slots idle_limit status_every json trace metrics =
   with_obs ~trace ~metrics @@ fun () ->
   let module Serve = Flowsched_serve.Server in
   let inst = Option.map load_instance inst_path in
-  (* Sources are stateful cursors, so each replica builds its own (and, in
-     stream mode, derives its own arrival stream from its replica seed). *)
-  let make_source ~seed =
+  let source, m, m', cap_in, cap_out =
     match inst with
     | Some inst ->
         ( Flowsched_serve.Source.of_instance inst,
@@ -384,63 +381,38 @@ let serve inst_path core_name seed jobs workload m rate slots max_demand alpha f
         let cap c = match Scenario.port_capacity spec with 1 -> None | d -> Some (Array.make c d) in
         (source, m, m', cap m, cap m')
   in
-  let run_one ~seed ~stop =
-    let source, m, m', cap_in, cap_out = make_source ~seed in
-    let core =
-      match String.lowercase_ascii core_name with
-      | "incremental" -> Serve.Incremental
-      | name -> Serve.Policy (policy_of_name name seed)
-    in
-    let config =
-      Serve.config ?cap_in ?cap_out ?queue_cap ?buffer_cap ?max_slots ~idle_limit
-        ~status_every ~m ~m' ()
-    in
-    let on_status s =
-      Printf.eprintf "%s\n%!"
-        (Flowsched_util.Json.to_string ~pretty:false (Serve.status_to_json s))
-    in
-    Serve.run ~on_status ~stop config core source
+  let core =
+    match String.lowercase_ascii core_name with
+    | "incremental" -> Serve.Incremental
+    | name -> Serve.Policy (policy_of_name name seed)
   in
-  let print_outcome ?replica outcome =
-    if json then
-      print_endline (Flowsched_util.Json.to_string (Serve.outcome_to_json outcome))
-    else begin
-      (match replica with
-      | Some (i, seed) -> Printf.printf "replica %d (seed %d):\n" i seed
-      | None -> ());
-      Printf.printf "slots:            %d\n" outcome.Serve.slots;
-      Printf.printf "flows:            %d arrived, %d completed\n" outcome.Serve.arrived
-        outcome.Serve.completed;
-      Printf.printf "avg response:     %.4f\n" (Serve.mean_response outcome);
-      Printf.printf "max response:     %d\n" outcome.Serve.max_response;
-      Printf.printf "makespan:         %d\n" outcome.Serve.makespan;
-      Printf.printf "idle slots:       %d\n" outcome.Serve.idle_slots;
-      Printf.printf "stalled slots:    %d\n" outcome.Serve.stalled_slots;
-      Printf.printf "peak pending:     %d\n" outcome.Serve.peak_pending;
-      if outcome.Serve.final_pending > 0 || outcome.Serve.final_buffered > 0 then
-        Printf.printf "left unfinished:  %d pending, %d buffered\n"
-          outcome.Serve.final_pending outcome.Serve.final_buffered;
-      if outcome.Serve.interrupted then
-        Printf.printf "interrupted:      yes (drained gracefully)\n"
-    end
+  let config =
+    Serve.config ?cap_in ?cap_out ?queue_cap ?buffer_cap ?max_slots ~idle_limit ~status_every
+      ~m ~m' ()
   in
-  if jobs <= 1 then
-    let outcome =
-      Flowsched_exec.Signals.with_interrupt_flag (fun stop -> run_one ~seed ~stop)
-    in
-    print_outcome outcome
+  let on_status s =
+    Printf.eprintf "%s\n%!" (Flowsched_util.Json.to_string ~pretty:false (Serve.status_to_json s))
+  in
+  let outcome =
+    Flowsched_exec.Signals.with_interrupt_flag (fun stop ->
+        Serve.run ~on_status ~stop config core source)
+  in
+  if json then print_endline (Flowsched_util.Json.to_string (Serve.outcome_to_json outcome))
   else begin
-    (* Replica mode: [jobs] independent service instances, one per domain,
-       each on its own derived-seed arrival stream — a quick scale test of
-       the service loop.  The shared interrupt flag drains every replica
-       gracefully; outcomes print in replica order. *)
-    let replica_seed i = Flowsched_exec.Pool.seed_for ~base_seed:seed i in
-    let outcomes =
-      Flowsched_exec.Signals.with_interrupt_flag (fun stop ->
-          Flowsched_domains.Parallel.map ~width:jobs jobs (fun i ->
-              run_one ~seed:(replica_seed i) ~stop))
-    in
-    Array.iteri (fun i o -> print_outcome ~replica:(i, replica_seed i) o) outcomes
+    Printf.printf "slots:            %d\n" outcome.Serve.slots;
+    Printf.printf "flows:            %d arrived, %d completed\n" outcome.Serve.arrived
+      outcome.Serve.completed;
+    Printf.printf "avg response:     %.4f\n" (Serve.mean_response outcome);
+    Printf.printf "max response:     %d\n" outcome.Serve.max_response;
+    Printf.printf "makespan:         %d\n" outcome.Serve.makespan;
+    Printf.printf "idle slots:       %d\n" outcome.Serve.idle_slots;
+    Printf.printf "stalled slots:    %d\n" outcome.Serve.stalled_slots;
+    Printf.printf "peak pending:     %d\n" outcome.Serve.peak_pending;
+    if outcome.Serve.final_pending > 0 || outcome.Serve.final_buffered > 0 then
+      Printf.printf "left unfinished:  %d pending, %d buffered\n"
+        outcome.Serve.final_pending outcome.Serve.final_buffered;
+    if outcome.Serve.interrupted then
+      Printf.printf "interrupted:      yes (drained gracefully)\n"
   end
 
 let serve_cmd =
@@ -458,15 +430,6 @@ let serve_cmd =
           ~doc:
             "Scheduling core: incremental (per-slot matching maintained across slots) or a \
              policy name (maxcard | minrtime | maxweight | fifo | random).")
-  in
-  let jobs =
-    Arg.(
-      value & opt jobs_conv 1
-      & info [ "jobs" ] ~docv:"N"
-          ~doc:
-            "Run $(docv) independent service replicas on parallel domains, each with a \
-             derived seed (or $(b,auto) for the detected core count).  Default 1: a \
-             single service.")
   in
   let workload =
     Arg.(
@@ -537,7 +500,7 @@ let serve_cmd =
          "Run the scheduler as a long-lived slot-clocked service over a trace or a generated \
           arrival stream.")
     Term.(
-      const serve $ inst $ core $ seed_term $ jobs $ workload $ m $ rate $ slots $ max_demand
+      const serve $ inst $ core $ seed_term $ workload $ m $ rate $ slots $ max_demand
       $ alpha $ fraction $ queue_cap $ buffer_cap $ max_slots $ idle_limit $ status_every
       $ json $ trace_term $ metrics_term)
 

@@ -69,7 +69,6 @@ let min_fractional_rho ?hi ?(warm_start = true) inst =
     Trace.with_span "mrt.rho_probe"
       ~args:(fun () -> [ ("rho", Flowsched_util.Json.Int rho) ])
       (fun () ->
-        Flowsched_domains.Deadline.check ();
         let active = Mrt_lp.active_of_rho inst rho in
         match Mrt_lp.solve ?warm:(if warm_start then !warm else None) inst active with
         | None -> false

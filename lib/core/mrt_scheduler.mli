@@ -45,9 +45,7 @@ val min_fractional_rho : ?hi:int -> ?warm_start:bool -> Flowsched_switch.Instanc
     [Failure] when the probe at [hi] is infeasible.  [warm_start] (default
     [true]) seeds each bisection probe with the optimal basis of the last
     feasible probe; the gallop probes run cold (no feasible basis exists
-    yet), and the result is identical either way.  A probe checks the
-    cooperative {!Flowsched_domains.Deadline} before solving, so executor
-    timeouts interrupt the search between LPs. *)
+    yet), and the result is identical either way. *)
 
 val solve : ?rho:int -> Flowsched_switch.Instance.t -> solution
 (** [solve inst] computes [rho = min_fractional_rho inst] (unless given)

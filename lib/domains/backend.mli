@@ -1,21 +1,23 @@
-(** Executor backend selection: one dispatch point for everything that
-    fans jobs out ([flowsched sweep], [bench], {!Flowsched_sim.Experiment}).
+(** Executor policy: the one place that decides how a grid's independent
+    jobs run ([flowsched sweep]/[matrix], [bench],
+    {!Flowsched_sim.Experiment}).  Both choices go through
+    {!Flowsched_exec.Pool}; the process runs a single OCaml domain.
 
     - [Inline]: the pool's sequential mode, regardless of [jobs] — the
-      reference semantics the other two must reproduce byte-for-byte.
-    - [Fork]: {!Flowsched_exec.Pool} forked workers (process isolation,
-      SIGKILL-able timeouts, Marshal frames).
-    - [Domains]: {!Executor} shared-memory domains (no serialization,
-      cooperative timeouts, in-job {!Parallel}). *)
+      reference semantics [Fork] must reproduce byte-for-byte.
+    - [Fork]: forked worker processes (crash isolation, SIGKILL-able
+      timeouts, Marshal frames).
 
-type t = Inline | Fork | Domains
+    Why there is no shared-memory choice: DESIGN.md, "One executor". *)
+
+type t = Inline | Fork
 
 val all : t list
 val to_string : t -> string
 
 val of_string : string -> (t, string) result
-(** Accepts ["inline" | "fork" | "domains"]; the [Error] carries a usable
-    one-line message. *)
+(** Accepts ["inline" | "fork"]; the [Error] carries a usable one-line
+    message, and for ["domains"] says that executor was removed. *)
 
 val map :
   ?backend:t ->
@@ -31,6 +33,6 @@ val map :
   f:('a -> 'b) ->
   'a array ->
   'b Flowsched_exec.Pool.outcome array
-(** [Pool.map]'s surface with a [backend] selector (default [Fork], the
-    historical behaviour).  [max_jobs_per_worker] only means something for
-    [Fork] (worker recycling) and is ignored by the other backends. *)
+(** [Pool.map]'s surface with a [backend] selector (default [Fork]).
+    [Inline] is [Pool.map ~jobs:1]; [max_jobs_per_worker] only matters
+    for [Fork] (worker recycling). *)

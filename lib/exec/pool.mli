@@ -135,12 +135,6 @@ val map :
     must be marshalable (closures in the payload are tolerated thanks to
     fork's shared code image, but plain data is preferred). *)
 
-(** {2 Execution contract shared with other executors}
-
-    The domains executor ({!Flowsched_domains.Executor}) reproduces the
-    pool's per-job semantics in shared memory; it reuses these pure pieces
-    so the two backends cannot drift apart. *)
-
 val seed_for : base_seed:int -> int -> int
 (** [seed_for ~base_seed job]: the value fed to [Random.init] before every
     attempt of [job], a pure function of [(base_seed, job)] only — never of
@@ -149,12 +143,9 @@ val seed_for : base_seed:int -> int -> int
     guarantee): distinct jobs get distinct seeds, so their derived streams
     are disjoint in practice. *)
 
-val backoff_delay : backoff:float -> base_seed:int -> job:int -> attempt:int -> float
+val backoff_delay_for_tests :
+  backoff:float -> base_seed:int -> job:int -> attempt:int -> float
 (** The (pure) backoff schedule used between retry attempts:
     [backoff * 2^(attempt-1)] capped at 60s, scaled by a deterministic
     jitter factor in [0.5, 1.5) drawn from [(base_seed, job, attempt)].
-    [0.] when [backoff <= 0.]. *)
-
-val backoff_delay_for_tests :
-  backoff:float -> base_seed:int -> job:int -> attempt:int -> float
-(** Alias of {!backoff_delay}, kept for the existing test suite. *)
+    [0.] when [backoff <= 0.].  Exposed for tests. *)

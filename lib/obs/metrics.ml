@@ -1,126 +1,50 @@
 let n_buckets = 64
 
-(* ------------------------------------------------------------------ *)
-(* Domain-local cells behind process-global handles.                    *)
-(*                                                                      *)
-(* A handle is just a name plus a [Domain.DLS] key: every domain that    *)
-(* touches the handle lazily materializes its own private cell, so the   *)
-(* hot-path mutation ([incr], [observe]) is an unsynchronized record     *)
-(* write with no cross-domain traffic.  Each domain also keeps a local   *)
-(* registry (name -> cell) of the cells it materialized; [snapshot],     *)
-(* [reset], and [absorb] operate on that local registry only.  Executors *)
-(* (the fork pool and the domains executor alike) carry per-worker       *)
-(* snapshots back to the coordinating domain and [absorb] them there, so *)
-(* process totals flow through the same associative merge algebra        *)
-(* regardless of how work was spread out.                                *)
-(* ------------------------------------------------------------------ *)
+(* A handle is its cell: [incr] and [observe] are one unsynchronized
+   record mutation, cheap enough for the simplex pivot path.  The registry
+   maps each name to its cell; [snapshot], [reset], and [absorb] walk it.
+   This is plain per-process state — the process runs one domain, and the
+   fork pool carries each worker's snapshot diff back to the parent, which
+   [absorb]s it. *)
 
-type ccell = { mutable c : int }
-type gcell = { mutable g : float }
-type hcell = { hbuckets : int array; mutable hsum : float; mutable hcount : int }
-type cell = Cc of ccell | Gc of gcell | Hc of hcell
+type counter = { mutable c : int }
+type gauge = { mutable g : float }
+type histogram = { hbuckets : int array; mutable hsum : float; mutable hcount : int }
+type cell = Cc of counter | Gc of gauge | Hc of histogram
 
-let local_key : (string, cell) Hashtbl.t Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> Hashtbl.create 64)
+let registry : (string, cell) Hashtbl.t = Hashtbl.create 64
+let kind_name = function Cc _ -> "counter" | Gc _ -> "gauge" | Hc _ -> "histogram"
 
-let local () = Domain.DLS.get local_key
-
-type counter = { ckey : ccell Domain.DLS.key }
-type gauge = { gkey : gcell Domain.DLS.key }
-type histogram = { hkey : hcell Domain.DLS.key }
-
-type handle = Ch of counter | Gh of gauge | Hh of histogram
-
-(* Name -> handle, shared by all domains; guarded by a mutex because
-   handles can be created dynamically (e.g. [absorb] of a snapshot naming
-   a metric this process never registered). *)
-let handles : (string, handle) Hashtbl.t = Hashtbl.create 64
-let handles_mutex = Mutex.create ()
-
-let kind_name = function Ch _ -> "counter" | Gh _ -> "gauge" | Hh _ -> "histogram"
-
-let register name make match_kind =
-  Mutex.protect handles_mutex (fun () ->
-      match Hashtbl.find_opt handles name with
-      | Some h -> (
-          match match_kind h with
-          | Some x -> x
-          | None ->
-              invalid_arg
-                (Printf.sprintf "Metrics: %S is already registered as a %s" name (kind_name h)))
+let register name make wrap unwrap =
+  match Hashtbl.find_opt registry name with
+  | Some cell -> (
+      match unwrap cell with
+      | Some x -> x
       | None ->
-          let h = make () in
-          Hashtbl.add handles name h;
-          (match match_kind h with Some x -> x | None -> assert false))
+          invalid_arg
+            (Printf.sprintf "Metrics: %S is already registered as a %s" name (kind_name cell)))
+  | None ->
+      let x = make () in
+      Hashtbl.add registry name (wrap x);
+      x
 
-(* Creating a handle also materializes its cell in the creating domain, so
-   statically-registered metrics (handles made at module init, on the main
-   domain) show up in that domain's snapshot at zero even if never touched
-   there — a coordinator that only absorbs worker diffs (which filter
-   zeros) must still report the same metric set as an inline run. *)
 let counter name =
-  let h =
-    register name
-      (fun () ->
-        Ch
-          {
-            ckey =
-              Domain.DLS.new_key (fun () ->
-                  let cell = { c = 0 } in
-                  Hashtbl.replace (local ()) name (Cc cell);
-                  cell);
-          })
-      (function Ch h -> Some h | _ -> None)
-  in
-  ignore (Domain.DLS.get h.ckey : ccell);
-  h
+  register name (fun () -> { c = 0 }) (fun x -> Cc x) (function Cc x -> Some x | _ -> None)
 
 let gauge name =
-  let h =
-    register name
-      (fun () ->
-        Gh
-          {
-            gkey =
-              Domain.DLS.new_key (fun () ->
-                  let cell = { g = 0. } in
-                  Hashtbl.replace (local ()) name (Gc cell);
-                  cell);
-          })
-      (function Gh h -> Some h | _ -> None)
-  in
-  ignore (Domain.DLS.get h.gkey : gcell);
-  h
+  register name (fun () -> { g = 0. }) (fun x -> Gc x) (function Gc x -> Some x | _ -> None)
 
 let histogram name =
-  let h =
-    register name
-      (fun () ->
-        Hh
-          {
-            hkey =
-              Domain.DLS.new_key (fun () ->
-                  let cell = { hbuckets = Array.make n_buckets 0; hsum = 0.; hcount = 0 } in
-                  Hashtbl.replace (local ()) name (Hc cell);
-                  cell);
-          })
-      (function Hh h -> Some h | _ -> None)
-  in
-  ignore (Domain.DLS.get h.hkey : hcell);
-  h
+  register name
+    (fun () -> { hbuckets = Array.make n_buckets 0; hsum = 0.; hcount = 0 })
+    (fun x -> Hc x)
+    (function Hc x -> Some x | _ -> None)
 
-let incr ?(by = 1) h =
-  let cell = Domain.DLS.get h.ckey in
-  cell.c <- cell.c + by
-
-let counter_value h = (Domain.DLS.get h.ckey).c
-
-let add_gauge h v =
-  let cell = Domain.DLS.get h.gkey in
-  cell.g <- cell.g +. v
-
-let set_gauge h v = (Domain.DLS.get h.gkey).g <- v
-let gauge_value h = (Domain.DLS.get h.gkey).g
+let incr ?(by = 1) h = h.c <- h.c + by
+let counter_value h = h.c
+let add_gauge h v = h.g <- h.g +. v
+let set_gauge h v = h.g <- v
+let gauge_value h = h.g
 
 (* Bucket 0 holds non-positive values; bucket i in 1..63 holds values whose
    [frexp] exponent is i - 32, clamped at both ends.  One bucket per octave. *)
@@ -133,32 +57,30 @@ let bucket_of v =
 let bucket_upper_bound i = if i <= 0 then 0. else Float.ldexp 1. (i - 32)
 
 let observe h v =
-  let cell = Domain.DLS.get h.hkey in
   let b = bucket_of v in
-  cell.hbuckets.(b) <- cell.hbuckets.(b) + 1;
-  cell.hsum <- cell.hsum +. v;
-  cell.hcount <- cell.hcount + 1
+  h.hbuckets.(b) <- h.hbuckets.(b) + 1;
+  h.hsum <- h.hsum +. v;
+  h.hcount <- h.hcount + 1
 
 let histogram_quantile h q =
   if Float.is_nan q || q < 0. || q > 1. then
     invalid_arg "Metrics.histogram_quantile: quantile must be in [0, 1]";
-  let cell = Domain.DLS.get h.hkey in
-  if cell.hcount = 0 then nan
+  if h.hcount = 0 then nan
   else begin
     (* Smallest bucket whose cumulative occupancy reaches rank ceil(q * n)
        (at least 1, so q = 0 returns the first occupied bucket's bound). *)
-    let target = max 1 (int_of_float (ceil (q *. float_of_int cell.hcount))) in
+    let target = max 1 (int_of_float (ceil (q *. float_of_int h.hcount))) in
     let rec go i acc =
       if i >= n_buckets then bucket_upper_bound (n_buckets - 1)
       else
-        let acc = acc + cell.hbuckets.(i) in
+        let acc = acc + h.hbuckets.(i) in
         if acc >= target then bucket_upper_bound i else go (i + 1) acc
     in
     go 0 0
   end
 
-let histogram_count h = (Domain.DLS.get h.hkey).hcount
-let histogram_sum h = (Domain.DLS.get h.hkey).hsum
+let histogram_count h = h.hcount
+let histogram_sum h = h.hsum
 
 type value =
   | Counter of int
@@ -178,7 +100,7 @@ let value_of = function
       Histogram { buckets = !buckets; sum = h.hsum; count = h.hcount }
 
 let snapshot () =
-  Hashtbl.fold (fun name m acc -> (name, value_of m) :: acc) (local ()) []
+  Hashtbl.fold (fun name m acc -> (name, value_of m) :: acc) registry []
   |> List.sort (fun (a, _) (b, _) -> String.compare a b)
 
 let reset () =
@@ -191,7 +113,7 @@ let reset () =
           Array.fill h.hbuckets 0 n_buckets 0;
           h.hsum <- 0.;
           h.hcount <- 0)
-    (local ())
+    registry
 
 (* Bucket lists are sorted by index; add occupancies bucket-wise. *)
 let add_buckets a b =
@@ -254,7 +176,7 @@ let absorb snap =
       | Counter x -> incr ~by:x (counter name)
       | Gauge x -> add_gauge (gauge name) x
       | Histogram { buckets; sum; count } ->
-          let h = Domain.DLS.get (histogram name).hkey in
+          let h = histogram name in
           List.iter
             (fun (i, n) -> if i >= 0 && i < n_buckets then h.hbuckets.(i) <- h.hbuckets.(i) + n)
             buckets;

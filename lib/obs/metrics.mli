@@ -1,18 +1,16 @@
 (** Metrics registry: named counters, gauges, and log-scale histograms
-    with typed handles, domain-safe by construction.
+    with typed handles.
 
-    Handles are looked up (or created) once by name and are shared freely
-    across domains; the cells behind them are {e domain-local}
-    ([Domain.DLS]), so increments after lookup are a single unsynchronized
-    record-field mutation, cheap enough for hot loops like the simplex
-    pivot path and race-free under OCaml 5 domains.  {!snapshot}, {!reset},
-    and {!absorb} act on the calling domain's cells only: an executor
-    (forked worker or spawned domain) snapshots its own contribution and
-    the coordinating domain {!absorb}s it, so process totals flow through
-    the same merge algebra whether work ran inline, across forked
-    processes, or across domains.  Snapshots are plain data — they marshal
-    across the {!Flowsched_exec.Pool} fork boundary and pass by reference
-    across [Domain.join].
+    A handle is the metric's cell itself: look it up (or create it) once
+    by name, and every later increment is a single record-field mutation,
+    cheap enough for hot loops like the simplex pivot path.  The registry
+    is plain per-process state and is {e not} domain-safe: the process
+    runs one OCaml domain, and parallel work runs in
+    {!Flowsched_exec.Pool}'s forked workers.  Each worker {!snapshot}s its
+    own contribution, the {!diff} crosses the fork boundary in the result
+    frame (snapshots are plain data and marshal), and the parent
+    {!absorb}s it — so totals are the same whether work ran inline or
+    across processes.
 
     Merge semantics are chosen so that [merge] is associative and, on
     disjoint names, commutative:
@@ -74,12 +72,10 @@ type snapshot = (string * value) list
 (** Sorted by name ([String.compare]); plain data, safe to [Marshal]. *)
 
 val snapshot : unit -> snapshot
-(** The calling domain's cells (only metrics this domain has touched;
-    absent means zero). *)
+(** Every registered metric (absent means never registered, i.e. zero). *)
 
 val reset : unit -> unit
-(** Zero every metric cell of the calling domain (handles stay valid;
-    other domains' cells are untouched). *)
+(** Zero every registered metric (handles stay valid). *)
 
 val merge : snapshot -> snapshot -> snapshot
 (** Name-wise sum; raises [Invalid_argument] on a kind mismatch. *)

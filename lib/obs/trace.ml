@@ -7,82 +7,51 @@ type span = {
   args : (string * Flowsched_util.Json.t) list;
 }
 
-(* The enable flag and time origin are shared by all domains (spawned
-   domains inherit the trace session); the span buffer, nesting depth, and
-   monotonic clamp are domain-local so recording never contends.  Executors
-   [drain] their worker domains' buffers and [absorb] them into the
-   coordinating domain before writing the file. *)
-let on = Atomic.make false
-let t0_us = Atomic.make 0.
+(* One recording session per process: the enable flag, time origin, span
+   buffer, nesting depth, and monotonic clamp are plain globals. *)
+let on = ref false
+let t0_us = ref 0.
+let events : span list ref = ref []
+let depth = ref 0
+let last_us = ref 0.
 
-type local = { mutable events : span list; mutable depth : int; mutable last_us : float }
-
-let local_key : local Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> { events = []; depth = 0; last_us = 0. })
-
-let local () = Domain.DLS.get local_key
-
-(* [Unix.gettimeofday] clamped to be non-decreasing per domain: the stdlib
-   exposes no monotonic clock, and a backwards wall-clock step would
-   otherwise produce negative span durations. *)
+(* [Unix.gettimeofday] clamped to be non-decreasing: the stdlib exposes no
+   monotonic clock, and a backwards wall-clock step would otherwise produce
+   negative span durations. *)
 let now_us () =
-  let l = local () in
   let t = Unix.gettimeofday () *. 1e6 in
-  if t > l.last_us then l.last_us <- t;
-  l.last_us
+  if t > !last_us then last_us := t;
+  !last_us
 
-let enabled () = Atomic.get on
+let enabled () = !on
 
 let start () =
-  let l = local () in
-  l.events <- [];
-  l.depth <- 0;
-  l.last_us <- 0.;
-  Atomic.set t0_us (now_us ());
-  Atomic.set on true
+  events := [];
+  depth := 0;
+  last_us := 0.;
+  t0_us := now_us ();
+  on := true
 
-let stop () = Atomic.set on false
-
-let record name cat args t_start t_end d =
-  let l = local () in
-  l.events <-
-    {
-      name;
-      cat;
-      ts_us = t_start -. Atomic.get t0_us;
-      dur_us = t_end -. t_start;
-      depth = d;
-      args;
-    }
-    :: l.events
+let stop () = on := false
 
 let with_span ?(cat = "flowsched") ?args name f =
-  if not (Atomic.get on) then f ()
+  if not !on then f ()
   else begin
     let t_start = now_us () in
-    let l = local () in
-    let d = l.depth in
-    l.depth <- d + 1;
+    let d = !depth in
+    depth := d + 1;
     Fun.protect
       ~finally:(fun () ->
-        (local ()).depth <- d;
-        let a = match args with None -> [] | Some mk -> mk () in
-        record name cat a t_start (now_us ()) d)
+        depth := d;
+        let args = match args with None -> [] | Some mk -> mk () in
+        let t_end = now_us () in
+        events :=
+          { name; cat; ts_us = t_start -. !t0_us; dur_us = t_end -. t_start; depth = d; args }
+          :: !events)
       f
   end
 
-let drain () =
-  let l = local () in
-  let spans = List.rev l.events in
-  l.events <- [];
-  spans
-
-let absorb spans =
-  let l = local () in
-  l.events <- List.rev_append spans l.events
-
-let spans () =
-  List.stable_sort (fun a b -> Float.compare a.ts_us b.ts_us) (List.rev (local ()).events)
+let spans () = List.stable_sort (fun a b -> Float.compare a.ts_us b.ts_us) (List.rev !events)
 
 let to_json () =
   let module J = Flowsched_util.Json in

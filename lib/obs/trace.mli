@@ -11,14 +11,9 @@
     (the stdlib has no monotonic clock), so span durations are never
     negative even across NTP steps.
 
-    Domain-safety: the enable flag and time origin are process-global
-    (atomics), while the span buffer, nesting depth, and clock clamp are
-    domain-local — each domain records into its own buffer without
-    contention.  The domains executor {!drain}s each worker domain's
-    buffer at join time and {!absorb}s the spans into the coordinating
-    domain, so one trace file covers all domains (spans share the {!start}
-    time origin).  {!Flowsched_exec.Pool} workers instead disable tracing
-    after [fork] — only metrics travel back across the result frames. *)
+    The session is plain per-process state (the process runs one OCaml
+    domain).  {!Flowsched_exec.Pool} workers disable tracing after [fork]
+    — only metrics travel back across the result frames. *)
 
 type span = {
   name : string;
@@ -44,19 +39,8 @@ val with_span :
     recorded as a span (also when [f] raises).  [args] is only evaluated
     when tracing is enabled. *)
 
-val drain : unit -> span list
-(** Take (and clear) the calling domain's recorded spans, oldest first.
-    Called by a worker domain just before it terminates; the result passes
-    through [Domain.join] to the coordinating domain. *)
-
-val absorb : span list -> unit
-(** Append previously {!drain}ed spans into the calling domain's buffer
-    (they share the session's time origin, so {!spans} interleaves them
-    chronologically). *)
-
 val spans : unit -> span list
-(** The calling domain's recorded spans (own plus {!absorb}ed) in order of
-    increasing start time. *)
+(** The recorded spans in order of increasing start time. *)
 
 val to_json : unit -> Flowsched_util.Json.t
 (** [{"traceEvents": [...], "displayTimeUnit": "ms"}] with one ["ph": "X"]

@@ -141,7 +141,6 @@ let run_cell ~policies cell =
         let entries =
           List.map
             (fun (p : Flowsched_online.Policy.t) ->
-              Flowsched_domains.Deadline.check ();
               let r = Flowsched_sim.Engine.run_instance p inst in
               max_makespan := max !max_makespan r.Flowsched_sim.Engine.makespan;
               {
@@ -162,7 +161,6 @@ let run_cell ~policies cell =
         let entries =
           List.map
             (fun (p : Flowsched_online.Policy.t) ->
-              Flowsched_domains.Deadline.check ();
               let r = Flowsched_sim.Engine.run_instance ~endpoint:ep (node_guard ep p) inst in
               max_makespan := max !max_makespan r.Flowsched_sim.Engine.makespan;
               {

@@ -20,7 +20,7 @@
 
     Results are deterministic in the cell specs alone: the artifact JSON
     carries no timing or jobs metadata, so runs are byte-identical across
-    [--jobs] and across the inline/fork/domains backends. *)
+    [--jobs] and across the inline and fork backends. *)
 
 type mode =
   | Flows

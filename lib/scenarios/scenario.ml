@@ -202,7 +202,7 @@ let stream spec =
   | Crossflow -> zoo (Zoo.crossflow_stream ~m)
 
 (* Register the zoo kinds with the sweep's workload registry at module
-   initialization, before any worker forks or domain spawns: "pareto:1.2"
+   initialization, before any worker forks: "pareto:1.2"
    etc. become valid sweep/matrix workload strings everywhere.  The base
    kinds stay with Experiment.sweep_instance (registering them too would
    double-list them in error messages). *)

@@ -198,9 +198,6 @@ let run_sweep_cell_timed ~policies s =
         let name = p.Flowsched_online.Policy.name in
         if flows = 0 then { policy = name; art = nan; mrt = 0 }
         else begin
-          (* Cooperative timeout point for the domains executor: between
-             policies is the natural safe boundary inside a cell. *)
-          Flowsched_domains.Deadline.check ();
           let r = Engine.run_instance p inst in
           max_makespan := max !max_makespan r.Engine.makespan;
           { policy = name; art = Engine.average_response r; mrt = Engine.max_response r }

@@ -45,8 +45,7 @@ val run_grid :
 (** Runs every cell and returns results in input order.  With [jobs > 1]
     the mutually independent cells are fanned out across the selected
     [backend] (default [Fork]: a {!Flowsched_exec.Pool} of forked workers;
-    [Domains] runs them on the shared-memory
-    {!Flowsched_domains.Executor}; [Inline] forces the sequential path);
+    [Inline] forces the sequential path);
     because results are merged in job order and each cell derives all
     randomness from its own seed, the output is byte-identical to the
     sequential [jobs = 1] run on every backend.  A cell that

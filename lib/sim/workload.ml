@@ -184,7 +184,7 @@ let stream_next s =
 
 (* Extensible workload-kind registry.  Higher layers (the scenario zoo)
    register resolvers at module-initialization time, before any worker
-   process forks or domain spawns, so the registry is effectively immutable
+   process forks, so the registry is effectively immutable
    while experiments run and identical in every worker — which is what keeps
    sweep artifacts byte-identical across backends. *)
 

@@ -83,7 +83,7 @@ val stream_slot : stream -> int
     Sweep cells name their workload by string; the base kinds are resolved
     directly by {!Experiment.sweep_instance}, and anything else is looked up
     here.  Higher layers (the scenario zoo) register a resolver at module
-    initialization — before any worker forks or domain spawns — so new
+    initialization — before any worker forks — so new
     scenario kinds become sweepable by registering in exactly one place and
     the registry is identical in every worker. *)
 

@@ -18,11 +18,10 @@
       10^5 draws).
     - {b Jobs derive seeds, never share state.}  An executor job seeds its
       local randomness from [Flowsched_exec.Pool.seed_for ~base_seed job]
-      (an injective map, identical in the fork, domains, and inline
-      executors — this is what makes artifacts backend-independent).  A
-      [t] must never be captured by a closure that crosses jobs: with
-      forked workers that silently duplicates the stream in every worker,
-      and with domains it is a data race.
+      (an injective map, identical in the fork and inline executors — this
+      is what makes artifacts backend-independent).  A [t] must never be
+      captured by a closure that crosses jobs: with forked workers that
+      silently duplicates the stream in every worker.
     - {b In-cell independence uses {!split}.}  Code that needs several
       independent streams inside one job splits its own generator instead
       of inventing seed arithmetic. *)

@@ -268,12 +268,9 @@ let test_matrix_backend_identical () =
     Flowsched_util.Json.to_string
       (Matrix.to_json (Matrix.run ~policies ~backend ~jobs small_cells))
   in
-  let reference = render Flowsched_domains.Backend.Inline 1 in
-  (* Fork before Domains: Unix.fork is illegal once domains have spawned. *)
-  Alcotest.(check string) "fork jobs=3 identical" reference
-    (render Flowsched_domains.Backend.Fork 3);
-  Alcotest.(check string) "domains jobs=3 identical" reference
-    (render Flowsched_domains.Backend.Domains 3)
+  Alcotest.(check string) "fork jobs=3 identical"
+    (render Flowsched_domains.Backend.Inline 1)
+    (render Flowsched_domains.Backend.Fork 3)
 
 (* --- properties --- *)
 

@@ -377,10 +377,89 @@ let test_sweep_unknown_workload_rejected () =
     | _ -> false
     | exception Invalid_argument _ -> true)
 
+(* --- backends --- *)
+
+module Backend = Flowsched_domains.Backend
+module Metrics = Flowsched_obs.Metrics
+
+let test_backend_of_string () =
+  List.iter
+    (fun b ->
+      match Backend.of_string (Backend.to_string b) with
+      | Ok b' -> Alcotest.(check bool) "round-trips" true (b = b')
+      | Error e -> Alcotest.fail e)
+    Backend.all;
+  (match Backend.of_string "threads" with
+  | Ok _ -> Alcotest.fail "accepted junk"
+  | Error msg -> Alcotest.(check bool) "error names the choices" true (contains msg "inline|fork"));
+  match Backend.of_string "domains" with
+  | Ok _ -> Alcotest.fail "accepted the removed domains backend"
+  | Error msg ->
+      Alcotest.(check bool) "error says it was removed" true (contains msg "removed");
+      Alcotest.(check bool) "error names the choices" true (contains msg "inline|fork")
+
+(* Wall-clock and simplex phase timers are the only nondeterministic fields
+   in a sweep result; zero them so renderings compare byte-for-byte. *)
+let zero_timing (r : Experiment.sweep_result) =
+  {
+    r with
+    Experiment.wall_s = 0.;
+    lp_counters =
+      Option.map
+        (fun c -> { c with Flowsched_lp.Simplex.phase1_seconds = 0.; phase2_seconds = 0. })
+        r.Experiment.lp_counters;
+  }
+
+(* Counter totals minus the executor's own bookkeeping, which depends on
+   the worker count. *)
+let algorithmic_counters snap =
+  List.filter_map
+    (fun (name, v) ->
+      match v with
+      | Metrics.Counter n when not (contains name "pool." || contains name "trace.") ->
+          Some (name, n)
+      | _ -> None)
+    snap
+
+let prop_inline_equals_fork =
+  QCheck2.Test.make ~name:"inline = fork (bytes, counters)" ~count:3
+    QCheck2.Gen.(triple (int_range 1 1_000_000) (int_range 1 3) (int_range 3 5))
+    (fun (seed, ncells, horizon) ->
+      let policies = [ Heuristics.maxcard; Heuristics.minrtime ] in
+      let cells =
+        List.init ncells (fun i ->
+            {
+              Experiment.workload = (if (seed + i) mod 2 = 0 then "poisson" else "uniform");
+              ports = 4;
+              arrival_rate = 2.0;
+              horizon;
+              max_demand = 3;
+              sweep_seed = seed + (31 * i);
+              lp = true;
+            })
+      in
+      let run backend jobs =
+        let before = Metrics.snapshot () in
+        let results = Experiment.run_sweep ~policies ~backend ~jobs cells in
+        let counters = algorithmic_counters (Metrics.diff (Metrics.snapshot ()) before) in
+        let artifact =
+          Flowsched_util.Json.to_string
+            (Report.sweep_json ~jobs:1 (List.map zero_timing results))
+        in
+        (artifact, counters)
+      in
+      let artifact_inline, counters_inline = run Backend.Inline 1 in
+      let artifact_fork, counters_fork = run Backend.Fork 4 in
+      if artifact_inline <> artifact_fork then
+        QCheck2.Test.fail_report "fork artifact differs from inline";
+      if counters_inline <> counters_fork then
+        QCheck2.Test.fail_report "fork counter totals differ from inline";
+      true)
+
 let () =
   let props =
     List.map QCheck_alcotest.to_alcotest
-      [ prop_workload_poisson_counts; prop_engine_matches_offline_fifo ]
+      [ prop_workload_poisson_counts; prop_engine_matches_offline_fifo; prop_inline_equals_fork ]
   in
   Alcotest.run "flowsched_sim"
     [
@@ -429,5 +508,6 @@ let () =
           Alcotest.test_case "sweep unknown workload" `Quick
             test_sweep_unknown_workload_rejected;
         ] );
+      ("backend", [ Alcotest.test_case "of_string" `Quick test_backend_of_string ]);
       ("properties", props);
     ]

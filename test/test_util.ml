@@ -84,8 +84,8 @@ let test_prng_split_decorrelated () =
 let test_prng_per_job_streams_disjoint () =
   (* The per-job splitting contract (see prng.mli and Pool.seed_for): jobs
      derive distinct seeds, and distinct seeds must give streams that never
-     coincide.  With domains sharing one address space, silent aliasing of
-     two jobs' generators would be invisible to every other test — so draw
+     coincide.  Silent aliasing of two jobs' generators would be invisible
+     to every other test — so draw
      10^5 values from two adjacent jobs' generators and check the output
      sets are disjoint (xoshiro's state is 4x the output width, so even a
      lagged overlap of the underlying sequences would surface here). *)
