@@ -1,5 +1,5 @@
 open Flowsched_switch
-module Bmatching = Flowsched_bipartite.Bmatching
+module Engine = Flowsched_sim.Engine
 module Metrics = Flowsched_obs.Metrics
 module Trace = Flowsched_obs.Trace
 module J = Flowsched_util.Json
@@ -10,7 +10,7 @@ let c_completed = Metrics.counter "serve.flows_completed"
 let c_stalled = Metrics.counter "serve.stalled_slots"
 let h_latency = Metrics.histogram "serve.slot_decision_seconds"
 
-type core = Policy of Flowsched_online.Policy.t | Incremental
+type core = Engine.core = Policy of Flowsched_online.Policy.t | Incremental
 
 type config = {
   m : int;
@@ -65,190 +65,116 @@ type outcome = {
   interrupted : bool;
 }
 
-(* A scheduling core, uniform across the two implementations: admit a batch
-   of flows, then return the releases of the flows scheduled this slot. *)
-type mode = { admit : Flow.t list -> unit; step : int -> int list; count : unit -> int }
-
-let policy_mode (cfg : config) (policy : Flowsched_online.Policy.t) =
-  (* Mirrors Engine.drive exactly: pending list oldest-first, arrivals
-     appended at the back, filtered on schedule, with the queue array reused
-     across zero-churn slots. *)
-  let pending = ref [] in
-  let n = ref 0 in
-  let cache = ref [||] in
-  let stale = ref true in
-  let admit batch =
-    if batch <> [] then begin
-      pending := !pending @ batch;
-      n := !n + List.length batch;
-      stale := true
-    end
-  in
-  let step slot =
-    if !stale then begin
-      cache := Array.of_list !pending;
-      stale := false
-    end;
-    let queue = !cache in
-    let ctx =
-      {
-        Flowsched_online.Policy.m = cfg.m;
-        m' = cfg.m';
-        cap_in = cfg.cap_in;
-        cap_out = cfg.cap_out;
-        round = slot;
-        queue;
-      }
-    in
-    match policy.Flowsched_online.Policy.select ctx with
-    | [] -> []
-    | selected ->
-        let chosen = Hashtbl.create 8 in
-        List.iter (fun i -> Hashtbl.replace chosen queue.(i).Flow.id ()) selected;
-        pending :=
-          List.filter (fun (f : Flow.t) -> not (Hashtbl.mem chosen f.Flow.id)) !pending;
-        n := !n - List.length selected;
-        stale := true;
-        List.map (fun i -> queue.(i).Flow.release) selected
-  in
-  { admit; step; count = (fun () -> !n) }
-
-let incremental_mode (cfg : config) =
-  let inc =
-    Bmatching.incremental ~nl:cfg.m ~nr:cfg.m' ~cap_in:cfg.cap_in ~cap_out:cfg.cap_out
-  in
-  let release_of = Hashtbl.create 1024 in
-  let admit batch =
-    List.iter
-      (fun (f : Flow.t) ->
-        if f.Flow.demand <> 1 then
-          invalid_arg "Server.run: the Incremental core requires unit demands";
-        Bmatching.Incremental.add inc ~id:f.Flow.id ~src:f.Flow.src ~dst:f.Flow.dst;
-        Hashtbl.add release_of f.Flow.id f.Flow.release)
-      batch
-  in
-  let step _slot =
-    List.map
-      (fun id ->
-        let r = Hashtbl.find release_of id in
-        Hashtbl.remove release_of id;
-        r)
-      (Bmatching.Incremental.take_matched inc)
-  in
-  { admit; step; count = (fun () -> Bmatching.Incremental.pending inc) }
-
 let run ?(on_status = fun (_ : status) -> ()) ?stop (cfg : config) core source =
   Trace.with_span "serve.run" (fun () ->
       let interrupted = match stop with Some f -> f | None -> ref false in
-      let { admit; step; count } =
-        match core with Policy p -> policy_mode cfg p | Incremental -> incremental_mode cfg
+      let core =
+        Engine.start ~m:cfg.m ~m':cfg.m' ~cap_in:cfg.cap_in ~cap_out:cfg.cap_out core
       in
       let buffer = Queue.create () in
       let next_id = ref 0 in
       let src_slot = ref 0 in
-      let slot = ref 0 in
       let arrived = ref 0 and completed = ref 0 in
-      let sum_resp = ref 0 and max_resp = ref 0 and makespan = ref 0 in
-      let idle = ref 0 and stalled = ref 0 and peak = ref 0 in
+      let sum_resp = ref 0 and max_resp = ref 0 in
+      let stalled = ref 0 in
       let idle_streak = ref 0 in
       let was_interrupted = ref false in
       let stop_now = ref false in
       let last_time = ref (Unix.gettimeofday ()) in
       let last_completed = ref 0 in
       let src_open () = (not !was_interrupted) && Source.more source !src_slot in
-      while
-        (not !stop_now) && (src_open () || (not (Queue.is_empty buffer)) || count () > 0)
-      do
-        match cfg.max_slots with
-        | Some cap when !slot >= cap -> stop_now := true
-        | _ ->
-            if !interrupted then was_interrupted := true;
-            (* 1. pull one source slot, unless the buffer pushes back *)
-            if src_open () then begin
-              if Queue.length buffer < cfg.buffer_cap then begin
-                List.iter (fun spec -> Queue.push spec buffer) (Source.pull source !src_slot);
-                incr src_slot
-              end
-              else begin
-                incr stalled;
-                Metrics.incr c_stalled
-              end
-            end;
-            (* 2. admit while the pending queue has room *)
-            let room = cfg.queue_cap - count () in
-            let batch = ref [] in
-            let admitted = ref 0 in
-            while !admitted < room && not (Queue.is_empty buffer) do
-              let src, dst, demand = Queue.pop buffer in
-              batch := Flow.make ~id:!next_id ~src ~dst ~demand ~release:!slot () :: !batch;
-              incr next_id;
-              incr admitted
-            done;
-            admit (List.rev !batch);
-            arrived := !arrived + !admitted;
-            Metrics.incr ~by:!admitted c_admitted;
-            (* 3. schedule this slot *)
-            let t0 = Unix.gettimeofday () in
-            let releases = step !slot in
-            Metrics.observe h_latency (Unix.gettimeofday () -. t0);
-            Metrics.incr c_slots;
-            (* 4. fold completions into streaming stats *)
-            let k = List.length releases in
-            if k > 0 then begin
-              completed := !completed + k;
-              Metrics.incr ~by:k c_completed;
-              List.iter
-                (fun r ->
-                  let resp = !slot - r + 1 in
-                  sum_resp := !sum_resp + resp;
-                  if resp > !max_resp then max_resp := resp)
-                releases;
-              makespan := !slot + 1;
-              idle_streak := 0
-            end
-            else begin
-              if count () > 0 then incr idle;
-              if (not (src_open ())) && Queue.is_empty buffer && count () > 0 then begin
-                incr idle_streak;
-                if !idle_streak >= cfg.idle_limit then stop_now := true
-              end
-            end;
-            let pc = count () in
-            if pc > !peak then peak := pc;
-            if cfg.status_every > 0 && (!slot + 1) mod cfg.status_every = 0 then begin
-              let now = Unix.gettimeofday () in
-              let dt = now -. !last_time in
-              let fps =
-                if dt <= 0. then 0.
-                else float_of_int (!completed - !last_completed) /. dt
-              in
-              last_time := now;
-              last_completed := !completed;
-              on_status
-                {
-                  slot = !slot;
-                  pending = pc;
-                  buffered = Queue.length buffer;
-                  arrived = !arrived;
-                  completed = !completed;
-                  flows_per_sec = fps;
-                  p50_latency = Metrics.histogram_quantile h_latency 0.5;
-                  p99_latency = Metrics.histogram_quantile h_latency 0.99;
-                }
-            end;
-            incr slot
-      done;
+      let live slot =
+        (not !stop_now)
+        && (src_open () || (not (Queue.is_empty buffer)) || core.pending () > 0)
+        && match cfg.max_slots with Some cap -> slot < cap | None -> true
+      in
+      let arrive slot =
+        if !interrupted then was_interrupted := true;
+        (* 1. pull one source slot, unless the buffer pushes back *)
+        if src_open () then begin
+          if Queue.length buffer < cfg.buffer_cap then begin
+            List.iter (fun spec -> Queue.push spec buffer) (Source.pull source !src_slot);
+            incr src_slot
+          end
+          else begin
+            incr stalled;
+            Metrics.incr c_stalled
+          end
+        end;
+        (* 2. admit while the pending queue has room *)
+        let room = cfg.queue_cap - core.pending () in
+        let batch = ref [] in
+        let admitted = ref 0 in
+        while !admitted < room && not (Queue.is_empty buffer) do
+          let src, dst, demand = Queue.pop buffer in
+          batch := Flow.make ~id:!next_id ~src ~dst ~demand ~release:slot () :: !batch;
+          incr next_id;
+          incr admitted
+        done;
+        arrived := !arrived + !admitted;
+        Metrics.incr ~by:!admitted c_admitted;
+        List.rev !batch
+      in
+      (* 3. schedule this slot, timed *)
+      let step slot =
+        let t0 = Unix.gettimeofday () in
+        let scheduled = core.step slot in
+        Metrics.observe h_latency (Unix.gettimeofday () -. t0);
+        Metrics.incr c_slots;
+        scheduled
+      in
+      (* 4. fold completions into streaming stats *)
+      let fold slot scheduled =
+        let pc = core.pending () in
+        let k = List.length scheduled in
+        if k > 0 then begin
+          completed := !completed + k;
+          Metrics.incr ~by:k c_completed;
+          List.iter
+            (fun (f : Flow.t) ->
+              let resp = slot - f.Flow.release + 1 in
+              sum_resp := !sum_resp + resp;
+              if resp > !max_resp then max_resp := resp)
+            scheduled;
+          idle_streak := 0
+        end
+        else if (not (src_open ())) && Queue.is_empty buffer && pc > 0 then begin
+          incr idle_streak;
+          if !idle_streak >= cfg.idle_limit then stop_now := true
+        end;
+        if cfg.status_every > 0 && (slot + 1) mod cfg.status_every = 0 then begin
+          let now = Unix.gettimeofday () in
+          let dt = now -. !last_time in
+          let fps =
+            if dt <= 0. then 0. else float_of_int (!completed - !last_completed) /. dt
+          in
+          last_time := now;
+          last_completed := !completed;
+          on_status
+            {
+              slot;
+              pending = pc;
+              buffered = Queue.length buffer;
+              arrived = !arrived;
+              completed = !completed;
+              flows_per_sec = fps;
+              p50_latency = Metrics.histogram_quantile h_latency 0.5;
+              p99_latency = Metrics.histogram_quantile h_latency 0.99;
+            }
+        end
+      in
+      let t = Engine.loop { core with step } ~live ~arrive ~fold in
       {
-        slots = !slot;
+        slots = t.Engine.slots;
         arrived = !arrived;
         completed = !completed;
         sum_response = !sum_resp;
         max_response = !max_resp;
-        makespan = !makespan;
-        idle_slots = !idle;
+        makespan = t.Engine.makespan;
+        idle_slots = t.Engine.idle_slots;
         stalled_slots = !stalled;
-        peak_pending = !peak;
-        final_pending = count ();
+        peak_pending = t.Engine.peak_pending;
+        final_pending = core.pending ();
         final_buffered = Queue.length buffer;
         interrupted = !was_interrupted;
       })

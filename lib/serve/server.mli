@@ -10,21 +10,22 @@
     statistics and discards them.  Nothing grows with the horizon: state is
     the pending flows plus integer accumulators.
 
-    Two cores are provided.  {!Policy} replicates the batch engine's
-    semantics exactly — for a fixed-seed trace with backpressure disabled,
-    the outcome's aggregate statistics equal those of
-    [Flowsched_sim.Engine.run_instance] on the same trace (the tests assert
-    this for 1e5-slot runs).  {!Incremental} maintains the matching across
-    slots with [Flowsched_bipartite.Bmatching.Incremental], making the
-    per-slot decision cost proportional to churn rather than queue depth;
-    it requires unit demands.
+    The slot loop and both cores are the batch engine's own
+    ([Flowsched_sim.Engine.loop]); the server adds the buffer, the stop
+    conditions, decision timing and the streaming fold.  {!Policy} {e is}
+    the engine's policy core, not a replica: with backpressure off, a run
+    over [Source.of_instance inst] has the aggregate statistics of
+    [Flowsched_sim.Engine.run_instance] on [inst] (the tests assert this).
+    {!Incremental} keeps a maximum b-matching across slots, so the
+    per-slot decision cost follows churn rather than queue depth; it
+    requires unit demands.
 
     The {!outcome} is all-integer, so for a fixed seed two runs are
     byte-identical even though the status stream carries wall-clock rates.
     Wall-clock timing appears only in {!status} snapshots and the metrics
     registry ([serve.slot_decision_seconds]). *)
 
-type core =
+type core = Flowsched_sim.Engine.core =
   | Policy of Flowsched_online.Policy.t
   | Incremental  (** Unit demands only; raises [Invalid_argument] otherwise. *)
 

@@ -1,4 +1,6 @@
 open Flowsched_switch
+module Policy = Flowsched_online.Policy
+module Bmatching = Flowsched_bipartite.Bmatching
 module Metrics = Flowsched_obs.Metrics
 module Trace = Flowsched_obs.Trace
 
@@ -18,131 +20,166 @@ type result = {
 exception Policy_violation of string
 exception Horizon_exceeded of { round : int; pending : int }
 
-(* The core loop shared by both drivers.  [arrive round pending] returns the
-   flows released this round (with globally consistent ids); [more round]
-   says whether new arrivals may still appear. *)
-let drive ?(validate = true) ?endpoint ?(max_rounds = 100_000) ~m ~m' ~cap_in ~cap_out
-    ~arrive ~more (policy : Flowsched_online.Policy.t) =
-  Trace.with_span "engine.drive" (fun () ->
-  let all_flows = ref [] in
-  let assignment = ref [] in
-  (* queue as a list of flows, oldest first *)
-  let pending = ref [] in
-  let round = ref 0 in
-  let rounds_idle = ref 0 in
-  let makespan = ref 0 in
-  (* The queue array is a function of [pending]; on zero-churn rounds (no
-     arrivals, nothing scheduled last round) it is unchanged, so reuse it
-     instead of rebuilding — at deep backlog the rebuild dominated rounds
-     where the policy was starved anyway. *)
-  let queue_cache = ref [||] in
-  let queue_stale = ref true in
-  while (more !round && !round < max_rounds) || !pending <> [] do
-    if !round >= max_rounds then
-      raise (Horizon_exceeded { round = !round; pending = List.length !pending });
-    let arrivals = if more !round then arrive !round !pending else [] in
-    List.iter (fun (f : Flow.t) -> all_flows := f :: !all_flows) arrivals;
-    Metrics.incr ~by:(List.length arrivals) c_flows;
-    if arrivals <> [] then begin
-      pending := !pending @ arrivals;
-      queue_stale := true
+(* --- the slot loop and its two cores --- *)
+
+type core = Policy of Policy.t | Incremental
+
+type running = { admit : Flow.t list -> unit; step : int -> Flow.t list; pending : unit -> int }
+
+(* Pending list oldest-first, arrivals appended at the back, filtered on
+   schedule.  The queue array is a function of [pending]; on zero-churn
+   slots (no arrivals, nothing scheduled last slot) it is unchanged, so
+   reuse it instead of rebuilding — at deep backlog the rebuild dominated
+   slots where the policy was starved anyway.  Also returns the pending
+   list itself, which the adaptive driver shows its arrival callback. *)
+let policy_core ~m ~m' ~cap_in ~cap_out (policy : Policy.t) =
+  let pending = ref [] and n = ref 0 in
+  let cache = ref [||] and stale = ref true in
+  let admit batch =
+    if batch <> [] then begin
+      pending := !pending @ batch;
+      n := !n + List.length batch;
+      stale := true
+    end
+  in
+  let step round =
+    if !stale then begin
+      cache := Array.of_list !pending;
+      stale := false
     end;
-    if !queue_stale then begin
-      queue_cache := Array.of_list !pending;
-      queue_stale := false
-    end;
-    let queue = !queue_cache in
+    let queue = !cache in
+    match policy.Policy.select { Policy.m; m'; cap_in; cap_out; round; queue } with
+    | [] -> []
+    | selected ->
+        let chosen = Hashtbl.create 8 in
+        List.iter (fun i -> Hashtbl.replace chosen queue.(i).Flow.id ()) selected;
+        pending :=
+          List.filter (fun (f : Flow.t) -> not (Hashtbl.mem chosen f.Flow.id)) !pending;
+        n := !n - List.length selected;
+        stale := true;
+        List.map (fun i -> queue.(i)) selected
+  in
+  ({ admit; step; pending = (fun () -> !n) }, fun () -> !pending)
+
+let incremental_core ~m ~m' ~cap_in ~cap_out =
+  let inc = Bmatching.incremental ~nl:m ~nr:m' ~cap_in ~cap_out in
+  let flow_of = Hashtbl.create 1024 in
+  let admit batch =
+    List.iter
+      (fun (f : Flow.t) ->
+        if f.Flow.demand <> 1 then
+          invalid_arg "Server.run: the Incremental core requires unit demands";
+        Bmatching.Incremental.add inc ~id:f.Flow.id ~src:f.Flow.src ~dst:f.Flow.dst;
+        Hashtbl.add flow_of f.Flow.id f)
+      batch
+  in
+  let step _round =
+    List.map
+      (fun id ->
+        let f = Hashtbl.find flow_of id in
+        Hashtbl.remove flow_of id;
+        f)
+      (Bmatching.Incremental.take_matched inc)
+  in
+  { admit; step; pending = (fun () -> Bmatching.Incremental.pending inc) }
+
+let start ~m ~m' ~cap_in ~cap_out = function
+  | Policy p -> fst (policy_core ~m ~m' ~cap_in ~cap_out p)
+  | Incremental -> incremental_core ~m ~m' ~cap_in ~cap_out
+
+type tally = { slots : int; makespan : int; idle_slots : int; peak_pending : int }
+
+let loop core ~live ~arrive ~fold =
+  let slot = ref 0 in
+  let makespan = ref 0 and idle = ref 0 and peak = ref 0 in
+  while live !slot do
+    core.admit (arrive !slot);
+    let scheduled = core.step !slot in
+    let pending = core.pending () in
+    (match scheduled with
+    | [] -> if pending > 0 then incr idle
+    | _ :: _ -> makespan := !slot + 1);
+    if pending > !peak then peak := pending;
+    fold !slot scheduled;
+    incr slot
+  done;
+  { slots = !slot; makespan = !makespan; idle_slots = !idle; peak_pending = !peak }
+
+(* --- the batch drivers --- *)
+
+(* The policy's [select], counted into the engine.* metrics and checked:
+   indices in range and distinct, port capacities respected and, with
+   [endpoint], node capacities too. *)
+let checked ?endpoint (policy : Policy.t) =
+  let select (ctx : Policy.context) =
+    let queue = ctx.Policy.queue in
     Metrics.incr c_rounds;
     Metrics.observe h_queue_len (float_of_int (Array.length queue));
-    let ctx =
-      {
-        Flowsched_online.Policy.m;
-        m';
-        cap_in;
-        cap_out;
-        round = !round;
-        queue;
-      }
-    in
-    let selected = policy.Flowsched_online.Policy.select ctx in
-    if validate then begin
-      let seen = Hashtbl.create 8 in
-      List.iter
-        (fun i ->
-          if i < 0 || i >= Array.length queue then
-            raise (Policy_violation (Printf.sprintf "index %d out of queue range" i));
-          if Hashtbl.mem seen i then
-            raise (Policy_violation (Printf.sprintf "index %d selected twice" i));
-          Hashtbl.add seen i ())
-        selected;
-      if not (Flowsched_online.Policy.feasible_selection ctx selected) then
+    let selected = policy.Policy.select ctx in
+    let seen = Hashtbl.create 8 in
+    List.iter
+      (fun i ->
+        if i < 0 || i >= Array.length queue then
+          raise (Policy_violation (Printf.sprintf "index %d out of queue range" i));
+        if Hashtbl.mem seen i then
+          raise (Policy_violation (Printf.sprintf "index %d selected twice" i));
+        Hashtbl.add seen i ())
+      selected;
+    if not (Policy.feasible_selection ctx selected) then
+      raise
+        (Policy_violation
+           (Printf.sprintf "capacity-infeasible selection at round %d" ctx.Policy.round));
+    (match endpoint with
+    | Some ep when not (Endpoint.feasible ep (List.map (fun i -> queue.(i)) selected)) ->
         raise
           (Policy_violation
-             (Printf.sprintf "capacity-infeasible selection at round %d" !round));
-      (match endpoint with
-      | Some ep ->
-          if not (Endpoint.feasible ep (List.map (fun i -> queue.(i)) selected)) then
-            raise
-              (Policy_violation
-                 (Printf.sprintf "node-capacity-infeasible selection at round %d" !round))
-      | None -> ())
-    end;
-    if selected = [] && queue <> [||] then begin
-      incr rounds_idle;
-      Metrics.incr c_idle_rounds
-    end;
-    let chosen = Hashtbl.create 8 in
-    List.iter (fun i -> Hashtbl.replace chosen queue.(i).Flow.id ()) selected;
-    if selected <> [] then makespan := !round + 1;
-    List.iter
-      (fun i -> assignment := (queue.(i).Flow.id, !round) :: !assignment)
-      selected;
-    if selected <> [] then begin
-      pending :=
-        List.filter (fun (f : Flow.t) -> not (Hashtbl.mem chosen f.Flow.id)) !pending;
-      queue_stale := true
-    end;
-    incr round
-  done;
-  (* Index flows by id so slots.(id) and flows.(id) line up regardless of
-     arrival order. *)
-  let arrived = List.rev !all_flows in
-  let n = List.length arrived in
-  let flows =
-    match arrived with
-    | [] -> [||]
-    | first :: _ ->
-        let arr = Array.make n first in
-        List.iter
-          (fun (f : Flow.t) ->
-            if f.Flow.id < 0 || f.Flow.id >= n then
-              invalid_arg "Engine: flow ids must be 0..n-1";
-            arr.(f.Flow.id) <- f)
-          arrived;
-        arr
+             (Printf.sprintf "node-capacity-infeasible selection at round %d"
+                ctx.Policy.round))
+    | _ -> ());
+    if selected = [] && queue <> [||] then Metrics.incr c_idle_rounds;
+    selected
   in
-  let slots = Array.make n (-1) in
-  List.iter (fun (id, r) -> slots.(id) <- r) !assignment;
-  let schedule = Schedule.make slots in
-  let responses = Array.mapi (fun i r -> r + 1 - flows.(i).Flow.release) slots in
-  { flows; schedule; responses; makespan = !makespan; rounds_idle = !rounds_idle })
+  { policy with select }
 
-let run_instance ?validate ?endpoint ?max_rounds (policy : Flowsched_online.Policy.t) inst =
-  let by_release = Hashtbl.create 16 in
-  Array.iter
-    (fun (f : Flow.t) ->
-      let cur = try Hashtbl.find by_release f.Flow.release with Not_found -> [] in
-      Hashtbl.replace by_release f.Flow.release (f :: cur))
-    inst.Instance.flows;
+(* Runs the checked policy until nothing is pending and [more] is false.
+   [arrive queued round] is consulted only while [more round]; [flows ()],
+   read after the run, is everything that arrived, indexed by id. *)
+let drive ?endpoint ?(max_rounds = 100_000) ~m ~m' ~cap_in ~cap_out ~more ~arrive ~flows
+    policy =
+  Trace.with_span "engine.drive" (fun () ->
+      let core, queued = policy_core ~m ~m' ~cap_in ~cap_out (checked ?endpoint policy) in
+      let live round =
+        let going = more round || core.pending () > 0 in
+        if going && round >= max_rounds then
+          raise (Horizon_exceeded { round; pending = core.pending () });
+        going
+      in
+      let arrive round =
+        let arrivals = if more round then arrive queued round else [] in
+        Metrics.incr ~by:(List.length arrivals) c_flows;
+        arrivals
+      in
+      let assignment = ref [] in
+      let fold round =
+        List.iter (fun (f : Flow.t) -> assignment := (f.Flow.id, round) :: !assignment)
+      in
+      let tally = loop core ~live ~arrive ~fold in
+      let flows = flows () in
+      let slots = Array.make (Array.length flows) (-1) in
+      List.iter (fun (id, r) -> slots.(id) <- r) !assignment;
+      let responses = Array.mapi (fun i r -> r + 1 - flows.(i).Flow.release) slots in
+      let schedule = Schedule.make slots in
+      { flows; schedule; responses; makespan = tally.makespan; rounds_idle = tally.idle_slots })
+
+let run_instance ?endpoint ?max_rounds policy (inst : Instance.t) =
   let last = Instance.last_release inst in
-  let arrive round _pending =
-    match Hashtbl.find_opt by_release round with
-    | Some flows -> List.rev flows
-    | None -> []
-  in
-  let more round = round <= last in
-  drive ?validate ?endpoint ?max_rounds ~m:inst.Instance.m ~m':inst.Instance.m'
-    ~cap_in:inst.Instance.cap_in ~cap_out:inst.Instance.cap_out ~arrive ~more policy
+  let arrivals = Instance.arrivals inst in
+  drive ?endpoint ?max_rounds ~m:inst.Instance.m ~m':inst.Instance.m'
+    ~cap_in:inst.Instance.cap_in ~cap_out:inst.Instance.cap_out
+    ~more:(fun round -> round <= last)
+    ~arrive:(fun _ round -> arrivals round)
+    ~flows:(fun () -> inst.Instance.flows)
+    policy
 
 let average_response r =
   if Array.length r.responses = 0 then nan
@@ -152,19 +189,19 @@ let average_response r =
 
 let max_response r = Array.fold_left max 0 r.responses
 
-let run_adaptive ?validate ?max_rounds ~m ~m' ?cap_in ?cap_out ~arrivals ~stop_arrivals_after
-    policy =
-  let cap_in = match cap_in with Some c -> c | None -> Array.make m 1 in
-  let cap_out = match cap_out with Some c -> c | None -> Array.make m' 1 in
-  let next_id = ref 0 in
-  let arrive round pending =
-    let specs = arrivals ~round ~pending in
+let run_adaptive ~m ~m' ~arrivals ~stop_arrivals_after policy =
+  let arrived = ref [] and next_id = ref 0 in
+  let arrive queued round =
     List.map
       (fun (src, dst, demand) ->
-        let id = !next_id in
+        let f = Flow.make ~id:!next_id ~src ~dst ~demand ~release:round () in
         incr next_id;
-        Flow.make ~id ~src ~dst ~demand ~release:round ())
-      specs
+        arrived := f :: !arrived;
+        f)
+      (arrivals ~round ~pending:(queued ()))
   in
-  let more round = round < stop_arrivals_after in
-  drive ?validate ?max_rounds ~m ~m' ~cap_in ~cap_out ~arrive ~more policy
+  drive ~m ~m' ~cap_in:(Array.make m 1) ~cap_out:(Array.make m' 1)
+    ~more:(fun round -> round < stop_arrivals_after)
+    ~arrive
+    ~flows:(fun () -> Array.of_list (List.rev !arrived))
+    policy

@@ -47,6 +47,15 @@ let last_release inst = Array.fold_left (fun acc f -> max acc f.Flow.release) 0 
 
 let horizon inst = last_release inst + n inst + 1
 
+let arrivals inst =
+  let by_release = Hashtbl.create 64 in
+  for i = Array.length inst.flows - 1 downto 0 do
+    let f = inst.flows.(i) in
+    let later = Option.value ~default:[] (Hashtbl.find_opt by_release f.Flow.release) in
+    Hashtbl.replace by_release f.Flow.release (f :: later)
+  done;
+  fun round -> Option.value ~default:[] (Hashtbl.find_opt by_release round)
+
 let total_demand inst = Array.fold_left (fun acc f -> acc + f.Flow.demand) 0 inst.flows
 
 let scale_capacities inst ~mult ~add =

@@ -42,6 +42,11 @@ val horizon : t -> int
 (** A safe scheduling horizon: every instance admits a schedule finishing
     before this round (serial schedule after the last release). *)
 
+val arrivals : t -> int -> Flow.t list
+(** [arrivals inst round] is the flows released at [round], in array
+    order.  The flows are bucketed by release once, when [arrivals inst] is
+    applied, so replay drivers partially apply it and query every round. *)
+
 val total_demand : t -> int
 
 val scale_capacities : t -> mult:int -> add:int -> t

@@ -13,10 +13,11 @@ let stream_source ~m ~rate ~slots ~seed =
 
 (* The headline satellite: a 1e5-slot bounded-memory serve run must
    reproduce the batch engine's aggregate statistics on the same trace.
-   Policy-mode serve mirrors Engine.drive (pending order, release = slot of
-   admission, makespan and idle accounting), and Source.of_instance replays
-   the instance's flows at their release slots, so every streamed statistic
-   must equal its batch counterpart exactly. *)
+   Policy-mode serve runs the engine's own loop and core (pending order,
+   makespan and idle accounting), stamps releases at the admission slot,
+   and Source.of_instance replays the instance's flows at their release
+   slots, so every streamed statistic must equal its batch counterpart
+   exactly. *)
 let test_serve_matches_engine () =
   let inst = Workload.poisson ~m:4 ~rate:2.0 ~rounds:100_000 ~seed:3 in
   let r = Engine.run_instance ~max_rounds:300_000 Heuristics.maxcard inst in
@@ -139,12 +140,63 @@ let test_incremental_rejects_demands () =
     (Invalid_argument "Server.run: the Incremental core requires unit demands") (fun () ->
       ignore (Server.run cfg Server.Incremental src))
 
+(* The parity of the 1e5-slot test, over every heuristic and over random
+   small instances: releases 0-7 in any array order, port capacities 1-2,
+   demands up to the flow's port capacity.  [random_policy] is stateful, so
+   each side gets a fresh one. *)
+let gen_instance =
+  let open QCheck2.Gen in
+  let* m = int_range 1 3 and* m' = int_range 1 3 in
+  let* cap_in = array_size (return m) (int_range 1 2)
+  and* cap_out = array_size (return m') (int_range 1 2) in
+  let flow =
+    let* src = int_bound (m - 1) and* dst = int_bound (m' - 1) and* release = int_bound 7 in
+    let+ demand = int_range 1 (min cap_in.(src) cap_out.(dst)) in
+    (src, dst, demand, release)
+  in
+  let+ specs = list_size (int_bound 12) flow in
+  Instance.of_flows ~cap_in ~cap_out ~m ~m' specs
+
+let prop_serve_matches_engine_all_policies =
+  let policies =
+    [
+      (fun () -> Heuristics.maxcard);
+      (fun () -> Heuristics.minrtime);
+      (fun () -> Heuristics.maxweight);
+      (fun () -> Heuristics.fifo);
+      (fun () -> Heuristics.random_policy ~seed:5);
+      (fun () -> Heuristics.srpt);
+    ]
+  in
+  QCheck2.Test.make ~name:"serve = batch replay for every heuristic" ~count:400
+    ~print:Instance.to_string gen_instance (fun inst ->
+      List.for_all
+        (fun policy ->
+          let r = Engine.run_instance (policy ()) inst in
+          let cfg =
+            Server.config ~cap_in:inst.Instance.cap_in ~cap_out:inst.Instance.cap_out
+              ~m:inst.Instance.m ~m':inst.Instance.m' ()
+          in
+          let o = Server.run cfg (Server.Policy (policy ())) (Source.of_instance inst) in
+          let n = Instance.n inst in
+          if
+            o.Server.arrived = n
+            && o.Server.completed = n
+            && o.Server.sum_response = Array.fold_left ( + ) 0 r.Engine.responses
+            && o.Server.max_response = Engine.max_response r
+            && o.Server.makespan = r.Engine.makespan
+            && o.Server.idle_slots = r.Engine.rounds_idle
+          then true
+          else QCheck2.Test.fail_reportf "%s diverges" (policy ()).Flowsched_online.Policy.name)
+        policies)
+
 let () =
   Alcotest.run "serve"
     [
       ( "engine-parity",
         [
           Alcotest.test_case "1e5-slot serve = batch replay" `Slow test_serve_matches_engine;
+          QCheck_alcotest.to_alcotest prop_serve_matches_engine_all_policies;
         ] );
       ( "server",
         [

@@ -94,12 +94,23 @@ let test_stream_prefix_hotspot () =
 
 let test_horizon_exceeded () =
   let never = { Policy.name = "never"; select = (fun _ -> []) } in
-  let inst = Instance.of_flows ~m:2 ~m':2 [ (0, 1, 1, 0); (1, 0, 1, 2) ] in
-  match Engine.run_instance ~max_rounds:37 never inst with
-  | _ -> Alcotest.fail "expected Horizon_exceeded"
-  | exception Engine.Horizon_exceeded { round; pending } ->
-      Alcotest.(check int) "round reached" 37 round;
-      Alcotest.(check int) "queue depth carried" 2 pending
+  let check name policy ~max_rounds specs ~round:want_round ~pending:want_pending =
+    let inst = Instance.of_flows ~m:2 ~m':2 specs in
+    match Engine.run_instance ~max_rounds policy inst with
+    | r ->
+        Alcotest.failf "%s: expected Horizon_exceeded, got %d of %d flows" name
+          (Array.length r.Engine.flows) (Instance.n inst)
+    | exception Engine.Horizon_exceeded { round; pending } ->
+        Alcotest.(check int) (name ^ ": round reached") want_round round;
+        Alcotest.(check int) (name ^ ": queue depth carried") want_pending pending
+  in
+  check "starved queue" never ~max_rounds:37 [ (0, 1, 1, 0); (1, 0, 1, 2) ] ~round:37 ~pending:2;
+  (* A flow released after the horizon is still owed, so the run raises
+     instead of returning a truncated result, whatever the flow order. *)
+  check "early flow first" Heuristics.fifo ~max_rounds:10 [ (0, 0, 1, 0); (0, 0, 1, 50) ]
+    ~round:10 ~pending:0;
+  check "late flow first" Heuristics.fifo ~max_rounds:10 [ (0, 0, 1, 50); (0, 0, 1, 0) ]
+    ~round:10 ~pending:0
 
 (* --- adaptive engine plumbing --- *)
 
