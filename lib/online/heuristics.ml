@@ -6,11 +6,16 @@ open Flowsched_switch
    flows rather than demand units, so for non-unit demands (outside the
    paper's experimental setting) the candidate matching is filtered through
    a demand-weighted capacity check, dropping the lightest-priority
-   overflow; with unit demands the filter never fires. *)
+   overflow; with unit demands the filter never fires.  At unit capacities
+   the expansion returns the same vertex counts and edge pairs in the same
+   order, so the queue graph is used as it is. *)
 let expanded_graph ctx =
   let g = Policy.queue_graph ctx in
-  (Flowsched_bipartite.Bmatching.expand g ~cl:ctx.Policy.cap_in ~cr:ctx.Policy.cap_out)
-    .Flowsched_bipartite.Bmatching.graph
+  let unit = Array.for_all (fun c -> c = 1) in
+  if unit ctx.Policy.cap_in && unit ctx.Policy.cap_out then g
+  else
+    (Flowsched_bipartite.Bmatching.expand g ~cl:ctx.Policy.cap_in ~cr:ctx.Policy.cap_out)
+      .Flowsched_bipartite.Bmatching.graph
 
 let admit_feasible ctx candidates =
   let res_in = Array.copy ctx.Policy.cap_in and res_out = Array.copy ctx.Policy.cap_out in

@@ -26,40 +26,66 @@ type core = Policy of Policy.t | Incremental
 
 type running = { admit : Flow.t list -> unit; step : int -> Flow.t list; pending : unit -> int }
 
-(* Pending list oldest-first, arrivals appended at the back, filtered on
-   schedule.  The queue array is a function of [pending]; on zero-churn
-   slots (no arrivals, nothing scheduled last slot) it is unchanged, so
-   reuse it instead of rebuilding — at deep backlog the rebuild dominated
-   slots where the policy was starved anyway.  Also returns the pending
-   list itself, which the adaptive driver shows its arrival callback. *)
+(* The pending flows live in [pending.(0 .. n-1)], oldest first: admit
+   appends, and after each select the chosen indices are marked in
+   [chosen] and the survivors compacted in place, so a slot allocates only
+   the exact-length queue copy the policy sees.  The queue is a function of
+   the pending flows; on zero-churn slots (no arrivals, nothing scheduled
+   last slot) it is unchanged, so reuse it instead of copying again — at
+   deep backlog the copy dominated slots where the policy was starved
+   anyway.  Also returns the pending list, oldest first, which the adaptive
+   driver shows its arrival callback. *)
 let policy_core ~m ~m' ~cap_in ~cap_out (policy : Policy.t) =
-  let pending = ref [] and n = ref 0 in
-  let cache = ref [||] and stale = ref true in
+  let pending = ref [||] and n = ref 0 and chosen = ref [||] in
+  let queue = ref [||] and stale = ref true in
+  let push (f : Flow.t) =
+    if !n = Array.length !pending then begin
+      let grown = Array.make (max 16 (2 * !n)) f in
+      Array.blit !pending 0 grown 0 !n;
+      pending := grown;
+      chosen := Array.make (Array.length grown) false
+    end;
+    !pending.(!n) <- f;
+    incr n
+  in
   let admit batch =
     if batch <> [] then begin
-      pending := !pending @ batch;
-      n := !n + List.length batch;
+      List.iter push batch;
       stale := true
     end
   in
   let step round =
     if !stale then begin
-      cache := Array.of_list !pending;
+      queue := Array.sub !pending 0 !n;
       stale := false
     end;
-    let queue = !cache in
+    let queue = !queue in
     match policy.Policy.select { Policy.m; m'; cap_in; cap_out; round; queue } with
     | [] -> []
     | selected ->
-        let chosen = Hashtbl.create 8 in
-        List.iter (fun i -> Hashtbl.replace chosen queue.(i).Flow.id ()) selected;
-        pending :=
-          List.filter (fun (f : Flow.t) -> not (Hashtbl.mem chosen f.Flow.id)) !pending;
-        n := !n - List.length selected;
+        (* [queue.(i)] raises on an index out of range before any mark is
+           written, and every marked index is then below [n]. *)
+        let scheduled = List.map (fun i -> queue.(i)) selected in
+        let pending = !pending and chosen = !chosen in
+        let first = List.fold_left min !n selected in
+        List.iter (fun i -> chosen.(i) <- true) selected;
+        let kept = ref first in
+        for i = first to !n - 1 do
+          if chosen.(i) then chosen.(i) <- false
+          else begin
+            pending.(!kept) <- pending.(i);
+            incr kept
+          end
+        done;
+        n := !kept;
         stale := true;
-        List.map (fun i -> queue.(i)) selected
+        scheduled
   in
-  ({ admit; step; pending = (fun () -> !n) }, fun () -> !pending)
+  let queued () =
+    let rec go i acc = if i < 0 then acc else go (i - 1) (!pending.(i) :: acc) in
+    go (!n - 1) []
+  in
+  ({ admit; step; pending = (fun () -> !n) }, queued)
 
 let incremental_core ~m ~m' ~cap_in ~cap_out =
   let inc = Bmatching.incremental ~nl:m ~nr:m' ~cap_in ~cap_out in
@@ -109,21 +135,26 @@ let loop core ~live ~arrive ~fold =
 
 (* The policy's [select], counted into the engine.* metrics and checked:
    indices in range and distinct, port capacities respected and, with
-   [endpoint], node capacities too. *)
+   [endpoint], node capacities too.  An index is seen in this call when its
+   [seen] entry holds this call's number, so the marks need no clearing. *)
 let checked ?endpoint (policy : Policy.t) =
+  let seen = ref [||] and call = ref 0 in
   let select (ctx : Policy.context) =
     let queue = ctx.Policy.queue in
     Metrics.incr c_rounds;
     Metrics.observe h_queue_len (float_of_int (Array.length queue));
     let selected = policy.Policy.select ctx in
-    let seen = Hashtbl.create 8 in
+    if Array.length !seen < Array.length queue then
+      seen := Array.make (max (Array.length queue) (2 * Array.length !seen)) 0;
+    incr call;
+    let seen = !seen and call = !call in
     List.iter
       (fun i ->
         if i < 0 || i >= Array.length queue then
           raise (Policy_violation (Printf.sprintf "index %d out of queue range" i));
-        if Hashtbl.mem seen i then
+        if seen.(i) = call then
           raise (Policy_violation (Printf.sprintf "index %d selected twice" i));
-        Hashtbl.add seen i ())
+        seen.(i) <- call)
       selected;
     if not (Policy.feasible_selection ctx selected) then
       raise

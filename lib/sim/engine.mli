@@ -16,7 +16,11 @@
     per-flow response times. *)
 
 type core =
-  | Policy of Flowsched_online.Policy.t  (** The policy over an oldest-first queue. *)
+  | Policy of Flowsched_online.Policy.t
+      (** The policy over an oldest-first queue, kept in a growable array:
+          admit appends, and the flows [select] chose are marked and the
+          survivors compacted in place.  [select] gets an exact-length copy,
+          reused while nothing arrives or leaves. *)
   | Incremental
       (** A maximum b-matching kept across slots; unit demands only, [admit]
           raises [Invalid_argument] otherwise. *)

@@ -123,6 +123,116 @@ let prop_hk_matches_brute_force =
       let m = Matching.max_cardinality g in
       Bgraph.is_matching g m && List.length m = brute_max_matching_size g)
 
+(* The list-based Hopcroft-Karp the library had before its CSR adjacency,
+   kept as an oracle: the CSR version must return the identical edge ids,
+   not just a matching of the same size. *)
+let reference_max_cardinality (g : Bgraph.t) =
+  let nl = g.Bgraph.nl in
+  let adj = Bgraph.adj_left g in
+  let match_l = Array.make nl (-1) in
+  let match_r = Array.make g.Bgraph.nr (-1) in
+  let dist = Array.make nl max_int in
+  let queue = Queue.create () in
+  let edge_v i = (Bgraph.edge g i).Bgraph.v in
+  let edge_u i = (Bgraph.edge g i).Bgraph.u in
+  let bfs () =
+    Queue.clear queue;
+    let found = ref false in
+    for u = 0 to nl - 1 do
+      if match_l.(u) = -1 then begin
+        dist.(u) <- 0;
+        Queue.add u queue
+      end
+      else dist.(u) <- max_int
+    done;
+    while not (Queue.is_empty queue) do
+      let u = Queue.pop queue in
+      List.iter
+        (fun e ->
+          let v = edge_v e in
+          match match_r.(v) with
+          | -1 -> found := true
+          | e' ->
+              let u' = edge_u e' in
+              if dist.(u') = max_int then begin
+                dist.(u') <- dist.(u) + 1;
+                Queue.add u' queue
+              end)
+        adj.(u)
+    done;
+    !found
+  in
+  let rec dfs u =
+    let rec try_edges = function
+      | [] ->
+          dist.(u) <- max_int;
+          false
+      | e :: rest ->
+          let v = edge_v e in
+          let ok =
+            match match_r.(v) with
+            | -1 -> true
+            | e' ->
+                let u' = edge_u e' in
+                dist.(u') = dist.(u) + 1 && dfs u'
+          in
+          if ok then begin
+            match_l.(u) <- e;
+            match_r.(v) <- e;
+            true
+          end
+          else try_edges rest
+    in
+    try_edges adj.(u)
+  in
+  let continue = ref true in
+  while !continue do
+    if bfs () then begin
+      let progressed = ref false in
+      for u = 0 to nl - 1 do
+        if match_l.(u) = -1 && dfs u then progressed := true
+      done;
+      if not !progressed then continue := false
+    end
+    else continue := false
+  done;
+  Array.fold_left (fun acc e -> if e >= 0 then e :: acc else acc) [] match_l
+
+(* Multigraphs whose edges touch only the first [hot_l] left and [hot_r]
+   right vertices, so parallel edges and isolated vertices are common; the
+   sides are drawn independently (nl <> nr) and may have no edges. *)
+let gen_multigraph =
+  let open QCheck2.Gen in
+  let* nl = int_range 0 8 and* nr = int_range 0 8 in
+  let* hot_l = int_range 1 (max nl 1) and* hot_r = int_range 1 (max nr 1) in
+  let+ pairs =
+    if nl = 0 || nr = 0 then return [||]
+    else array_size (int_bound 24) (pair (int_bound (hot_l - 1)) (int_bound (hot_r - 1)))
+  in
+  Bgraph.create ~nl ~nr pairs
+
+let print_graph (g : Bgraph.t) =
+  Printf.sprintf "nl=%d nr=%d edges=[%s]" g.Bgraph.nl g.Bgraph.nr
+    (String.concat "; "
+       (Array.to_list
+          (Array.map (fun { Bgraph.u; v } -> Printf.sprintf "(%d,%d)" u v) g.Bgraph.edges)))
+
+let prop_hk_matches_reference =
+  QCheck2.Test.make ~name:"CSR Hopcroft-Karp = list-based reference (edge ids)" ~count:500
+    ~print:print_graph gen_multigraph (fun g ->
+      Matching.max_cardinality g = reference_max_cardinality g)
+
+(* The MaxCard heuristic skips the expansion at unit capacities; this is
+   the fact that makes the skip exact. *)
+let prop_unit_expansion_is_identity =
+  QCheck2.Test.make ~name:"unit-capacity expansion is the identity" ~count:300
+    ~print:print_graph gen_multigraph (fun g ->
+      let exp =
+        Bmatching.expand g ~cl:(Array.make g.Bgraph.nl 1) ~cr:(Array.make g.Bgraph.nr 1)
+      in
+      let h = exp.Bmatching.graph in
+      h.Bgraph.nl = g.Bgraph.nl && h.Bgraph.nr = g.Bgraph.nr && h.Bgraph.edges = g.Bgraph.edges)
+
 (* --- weighted matching --- *)
 
 let test_hungarian_simple () =
@@ -402,6 +512,8 @@ let () =
         prop_b_matching_decomposition;
         prop_incremental_matches_expand_on_unit_caps;
         prop_incremental_matches_scratch;
+        prop_hk_matches_reference;
+        prop_unit_expansion_is_identity;
       ]
   in
   Alcotest.run "flowsched_bipartite"

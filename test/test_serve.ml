@@ -140,6 +140,28 @@ let test_incremental_rejects_demands () =
     (Invalid_argument "Server.run: the Incremental core requires unit demands") (fun () ->
       ignore (Server.run cfg Server.Incremental src))
 
+(* Serve does not check selections, so a policy's out-of-range index must
+   still fail on the queue it was handed, never reach the core's own
+   arrays.  The first bad index, one past the queue, is still inside the
+   core's pending storage, which holds room for 16 flows. *)
+let test_policy_index_out_of_range () =
+  let cfg = Server.config ~m:1 ~m':1 () in
+  let src = Source.make ~more:(fun s -> s < 4) ~pull:(fun _ -> [ (0, 0, 1); (0, 0, 1) ]) in
+  List.iter
+    (fun bad ->
+      let policy =
+        {
+          Flowsched_online.Policy.name = "bad-index";
+          select =
+            (fun ctx ->
+              if ctx.Flowsched_online.Policy.round < 2 then [ 0 ]
+              else [ bad (Array.length ctx.Flowsched_online.Policy.queue) ]);
+        }
+      in
+      Alcotest.check_raises "index out of bounds" (Invalid_argument "index out of bounds")
+        (fun () -> ignore (Server.run cfg (Server.Policy policy) src)))
+    [ (fun n -> n); (fun _ -> -1) ]
+
 (* The parity of the 1e5-slot test, over every heuristic and over random
    small instances: releases 0-7 in any array order, port capacities 1-2,
    demands up to the flow's port capacity.  [random_policy] is stateful, so
@@ -209,5 +231,7 @@ let () =
           Alcotest.test_case "stop flag drains" `Quick test_stop_flag_drains;
           Alcotest.test_case "incremental rejects demands" `Quick
             test_incremental_rejects_demands;
+          Alcotest.test_case "policy index out of range raises" `Quick
+            test_policy_index_out_of_range;
         ] );
     ]

@@ -264,6 +264,156 @@ let prop_engine_matches_offline_fifo =
       let offline = Flowsched_core.Baselines.fifo inst in
       Schedule.assignment online.Engine.schedule = Schedule.assignment offline)
 
+(* --- the policy core against its list-based reference --- *)
+
+(* The list-based policy core the engine had before its array-backed queue,
+   kept as an independent oracle with its own plain slot loop: the pending
+   list oldest-first with arrivals appended ([pending @ batch]), the queue
+   rebuilt with [Array.of_list] whenever it changed, and the chosen flows
+   filtered out by id.  [arrive queued round] is consulted while
+   [more round]; returns the (id, round) assignment, makespan and idle
+   rounds. *)
+let reference_drive ~m ~m' ~cap_in ~cap_out ~more ~arrive (policy : Policy.t) =
+  let pending = ref [] and cache = ref [||] and stale = ref true in
+  let assignment = ref [] and makespan = ref 0 and idle = ref 0 in
+  let round = ref 0 in
+  while more !round || !pending <> [] do
+    (if more !round then
+       match arrive (fun () -> !pending) !round with
+       | [] -> ()
+       | batch ->
+           pending := !pending @ batch;
+           stale := true);
+    if !stale then begin
+      cache := Array.of_list !pending;
+      stale := false
+    end;
+    let queue = !cache in
+    (match policy.Policy.select { Policy.m; m'; cap_in; cap_out; round = !round; queue } with
+    | [] -> if !pending <> [] then incr idle
+    | selected ->
+        let chosen = Hashtbl.create 8 in
+        List.iter (fun i -> Hashtbl.replace chosen queue.(i).Flow.id ()) selected;
+        pending :=
+          List.filter (fun (f : Flow.t) -> not (Hashtbl.mem chosen f.Flow.id)) !pending;
+        stale := true;
+        List.iter (fun i -> assignment := (queue.(i).Flow.id, !round) :: !assignment) selected;
+        makespan := !round + 1);
+    incr round
+  done;
+  (!assignment, !makespan, !idle)
+
+(* What the property compares: schedule, responses, makespan, idle rounds. *)
+let reference_result flows (assignment, makespan, idle) =
+  let slots = Array.make (Array.length flows) (-1) in
+  List.iter (fun (id, r) -> slots.(id) <- r) assignment;
+  let responses = Array.mapi (fun i r -> r + 1 - flows.(i).Flow.release) slots in
+  (slots, responses, makespan, idle)
+
+let engine_result (r : Engine.result) =
+  (Schedule.assignment r.Engine.schedule, r.Engine.responses, r.Engine.makespan,
+   r.Engine.rounds_idle)
+
+let reference_run_instance policy (inst : Instance.t) =
+  let last = Instance.last_release inst in
+  reference_result inst.Instance.flows
+    (reference_drive ~m:inst.Instance.m ~m':inst.Instance.m' ~cap_in:inst.Instance.cap_in
+       ~cap_out:inst.Instance.cap_out
+       ~more:(fun round -> round <= last)
+       ~arrive:(fun _ round -> Instance.arrivals inst round)
+       policy)
+
+let reference_run_adaptive ~m ~m' ~arrivals ~stop_arrivals_after policy =
+  let arrived = ref [] and next_id = ref 0 in
+  let arrive queued round =
+    List.map
+      (fun (src, dst, demand) ->
+        let f = Flow.make ~id:!next_id ~src ~dst ~demand ~release:round () in
+        incr next_id;
+        arrived := f :: !arrived;
+        f)
+      (arrivals ~round ~pending:(queued ()))
+  in
+  let run =
+    reference_drive ~m ~m' ~cap_in:(Array.make m 1) ~cap_out:(Array.make m' 1)
+      ~more:(fun round -> round < stop_arrivals_after)
+      ~arrive policy
+  in
+  reference_result (Array.of_list (List.rev !arrived)) run
+
+(* Random instances: caps 1-3, demands up to the flow's port capacity,
+   releases 0-7 in any array order. *)
+let gen_core_instance =
+  let open QCheck2.Gen in
+  let* m = int_range 1 4 and* m' = int_range 1 4 in
+  let* cap_in = array_size (return m) (int_range 1 3)
+  and* cap_out = array_size (return m') (int_range 1 3) in
+  let flow =
+    let* src = int_bound (m - 1) and* dst = int_bound (m' - 1) and* release = int_bound 7 in
+    let+ demand = int_range 1 (min cap_in.(src) cap_out.(dst)) in
+    (src, dst, demand, release)
+  in
+  let+ specs = list_size (int_bound 16) flow in
+  Instance.of_flows ~cap_in ~cap_out ~m ~m' specs
+
+(* [random_policy] is stateful, so each side gets a fresh one. *)
+let core_policies =
+  [
+    (fun () -> Heuristics.maxcard);
+    (fun () -> Heuristics.minrtime);
+    (fun () -> Heuristics.maxweight);
+    (fun () -> Heuristics.fifo);
+    (fun () -> Heuristics.random_policy ~seed:11);
+    (fun () -> Heuristics.srpt);
+  ]
+
+(* An adaptive arrival callback on the instance's ports: each round's
+   released flows at unit demand, plus, while anything is pending, one flow
+   on the oldest pending flow's input and the newest one's output.  It logs
+   every pending list it is shown. *)
+let adaptive_arrivals (inst : Instance.t) log ~round ~pending =
+  log := pending :: !log;
+  let released =
+    List.map (fun (f : Flow.t) -> (f.Flow.src, f.Flow.dst, 1)) (Instance.arrivals inst round)
+  in
+  match pending with
+  | [] -> released
+  | (oldest : Flow.t) :: _ ->
+      let newest = List.nth pending (List.length pending - 1) in
+      released @ [ (oldest.Flow.src, newest.Flow.dst, 1) ]
+
+let rec oldest_first = function
+  | (a : Flow.t) :: (b :: _ as rest) -> a.Flow.id < b.Flow.id && oldest_first rest
+  | _ -> true
+
+let prop_policy_core_matches_reference =
+  QCheck2.Test.make ~name:"policy core = list-based reference, every heuristic" ~count:300
+    ~print:Instance.to_string gen_core_instance (fun inst ->
+      List.for_all
+        (fun policy ->
+          let name = (policy ()).Policy.name in
+          if engine_result (Engine.run_instance (policy ()) inst)
+             <> reference_run_instance (policy ()) inst
+          then QCheck2.Test.fail_reportf "%s: run_instance diverges" name;
+          let m = inst.Instance.m and m' = inst.Instance.m' in
+          let seen = ref [] and seen_ref = ref [] in
+          let r =
+            Engine.run_adaptive ~m ~m' ~arrivals:(adaptive_arrivals inst seen)
+              ~stop_arrivals_after:8 (policy ())
+          in
+          let r_ref =
+            reference_run_adaptive ~m ~m' ~arrivals:(adaptive_arrivals inst seen_ref)
+              ~stop_arrivals_after:8 (policy ())
+          in
+          if engine_result r <> r_ref then
+            QCheck2.Test.fail_reportf "%s: run_adaptive diverges" name;
+          if !seen <> !seen_ref then
+            QCheck2.Test.fail_reportf "%s: adaptive pending lists differ" name;
+          if not (List.for_all oldest_first !seen) then
+            QCheck2.Test.fail_reportf "%s: pending list not oldest-first" name;
+          true)
+        core_policies)
+
 (* --- parallel grids and the sweep artifact --- *)
 
 let test_run_grid_parallel_identical () =
@@ -470,7 +620,12 @@ let prop_inline_equals_fork =
 let () =
   let props =
     List.map QCheck_alcotest.to_alcotest
-      [ prop_workload_poisson_counts; prop_engine_matches_offline_fifo; prop_inline_equals_fork ]
+      [
+        prop_workload_poisson_counts;
+        prop_engine_matches_offline_fifo;
+        prop_inline_equals_fork;
+        prop_policy_core_matches_reference;
+      ]
   in
   Alcotest.run "flowsched_sim"
     [
